@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import warnings
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -265,21 +266,10 @@ def solved_diff_series(
     better_times = sorted(r.wall_time_s for r in records if r.config == better and r.solved)
     base_times = sorted(r.wall_time_s for r in records if r.config == base and r.solved)
 
-    def solved_by(times: list[float], t: float) -> int:
-        # times is sorted; count entries <= t
-        lo, hi = 0, len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if times[mid] <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     series = []
     for i in range(points + 1):
         t = timeout_s * i / points
-        series.append((t, solved_by(better_times, t) - solved_by(base_times, t)))
+        series.append((t, bisect_right(better_times, t) - bisect_right(base_times, t)))
     return series
 
 

@@ -36,23 +36,17 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_is_pos(lit: int) -> bool:
-    return (lit & 1) == 0
-
-
 @dataclass(eq=False)
 class Clause:
     """A clause over internal literal codes.
 
-    `lbd` is meaningful only for learnt clauses (0 = unset). `glue` marks
-    learnt clauses whose LBD at learning time was 2; those are kept
-    permanently by the clause-database reduction.
+    `lbd` is meaningful only for learnt clauses (0 = unset); whether a
+    learnt clause is glue is decided from it by GlueTracker.is_glue_lbd.
     """
 
     lits: list[int]
     learnt: bool = False
     lbd: int = 0
-    glue: bool = False
     activity: float = 0.0
 
     def to_ints(self) -> list[int]:
@@ -81,8 +75,8 @@ class Formula:
         if not isinstance(other, Formula):
             return NotImplemented
         return self.num_vars == other.num_vars and [
-            (c.lits, c.learnt, c.lbd, c.glue) for c in self.clauses
-        ] == [(c.lits, c.learnt, c.lbd, c.glue) for c in other.clauses]
+            (c.lits, c.learnt, c.lbd) for c in self.clauses
+        ] == [(c.lits, c.learnt, c.lbd) for c in other.clauses]
 
     @classmethod
     def from_ints(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "Formula":

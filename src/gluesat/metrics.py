@@ -89,28 +89,10 @@ class MetricsReport:
 
     def csv_row(self, instance: str, verdict: str, wall_time_s: float) -> list[str]:
         """One row matching STATS_CSV_HEADER; None becomes an empty cell."""
-        cells = [
-            instance,
-            verdict,
-            repr(wall_time_s),
-            self.decisions,
-            self.propagations,
-            self.conflicts,
-            self.glue_clauses,
-            self.glue_decisions,
-            self.nonglue_decisions,
-            self.pr_glue,
-            self.lr_glue,
-            self.albd_glue,
-            self.pr_nonglue,
-            self.lr_nonglue,
-            self.albd_nonglue,
-            self.gf,
-            self.ngf,
-            self.r_glue,
-            self.r_nonglue,
+        cells = [getattr(self, name) for name in STATS_CSV_HEADER[3:]]
+        return [instance, verdict, repr(wall_time_s)] + [
+            "" if c is None else repr(c) for c in cells
         ]
-        return ["" if c is None else (c if isinstance(c, str) else repr(c)) for c in cells]
 
 
 class MetricsCollector:
@@ -133,6 +115,10 @@ class MetricsCollector:
 
     def record_propagation(self) -> None:
         self._current.propagations += 1
+
+    def total(self, name: str) -> int:
+        """One counter summed over the glue, nonglue and preamble buckets."""
+        return sum(getattr(b, name) for b in (self.glue, self.nonglue, self.preamble))
 
     def current_bucket(self) -> ClassCounters:
         """The counters that propagations/conflicts attribute to right now.
@@ -170,8 +156,9 @@ def finalize_report(
 ) -> MetricsReport:
     """Fold the collected counters into the per-instance report.
 
-    `counters` is the solver's SearchCounters; the class totals plus the
-    preamble bucket always sum back to it.
+    `counters` is the solver's SearchCounters, whose decisions,
+    propagations and conflicts are the sums of the glue, nonglue and
+    preamble buckets by construction (see Solver.counters).
     """
     g, ng = collector.glue, collector.nonglue
     gf = _ratio(glue_var_count, num_vars)

@@ -3,8 +3,9 @@
 Trail-based assignment with two watched literals per clause, first-UIP
 conflict analysis, EVSIDS branching, phase saving, Luby restarts, and
 LBD-aware clause-database reduction (clauses with LBD <= 2 are kept
-forever). Glue tracking and per-decision-class metrics plug in through
-the tracker/collector objects the solver owns; a DRAT proof writer can
+forever). Glue tracking and per-decision-class metrics live in the
+tracker and collector objects the solver owns; the search totals are
+summed from the collector's per-class buckets. A DRAT proof writer can
 be attached to log every learnt clause and deletion.
 
 Determinism: for a fixed formula and config the run is bit-reproducible.
@@ -34,8 +35,6 @@ from .proof import ProofWriter
 CLAUSE_ACT_LIMIT = 1e20
 CLAUSE_ACT_RESCALE = 1e-20
 CLAUSE_DECAY = 0.999
-
-_ABSENT = object()  # sentinel: "construct the default tracker"
 
 
 def luby(i: int) -> int:
@@ -107,7 +106,8 @@ class Solver:
 
     The instance owns all mutable state; run independent instances for
     concurrent solves. The input formula is never mutated (clauses are
-    copied, since propagation reorders watched literals in place).
+    copied, since propagation reorders watched literals in place). A
+    second solve() raises RuntimeError.
     """
 
     def __init__(
@@ -115,21 +115,15 @@ class Solver:
         formula: Formula,
         config: Optional[SolverConfig] = None,
         proof: Optional[ProofWriter] = None,
-        glue_tracker=_ABSENT,
-        metrics: Optional[MetricsCollector] = None,
     ):
         self.config = config or SolverConfig()
         self.formula = formula
         n = formula.num_vars
         self.num_vars = n
         self.proof = proof
-        if glue_tracker is _ABSENT:
-            glue_tracker = GlueTracker(
-                n, self.config.glue_lbd_max, bump_enabled=self.config.glue_bump
-            )
-        self.glue: Optional[GlueTracker] = glue_tracker
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.counters = SearchCounters()
+        self.glue = GlueTracker(n, self.config.glue_lbd_max, bump_enabled=self.config.glue_bump)
+        self.metrics = MetricsCollector()
+        self._solved = False
 
         self.values = [0] * n  # 0 unassigned, 1 true, -1 false
         self.levels = [0] * n
@@ -160,6 +154,17 @@ class Solver:
     def current_level(self) -> int:
         return len(self.trail_lim)
 
+    @property
+    def counters(self) -> SearchCounters:
+        """The search totals, summed from the per-class metric buckets."""
+        m = self.metrics
+        return SearchCounters(
+            decisions=m.total("decisions"),
+            propagations=m.total("propagations"),
+            conflicts=m.total("conflicts"),
+            glue_clauses=self.glue.glue_clause_count,
+        )
+
     def lit_value(self, lit: int) -> int:
         """1 if the literal is true, -1 false, 0 unassigned."""
         v = self.values[lit >> 1]
@@ -175,7 +180,6 @@ class Solver:
         if v in heap:
             heap.remove(v)
         if reason is not None:
-            self.counters.propagations += 1
             self.metrics.record_propagation()
 
     def _watch(self, clause: Clause) -> None:
@@ -217,7 +221,6 @@ class Solver:
         reasons = self.reasons
         heap = self.activities.heap
         heap_pos = heap.pos
-        ctr = self.counters
         bucket = self.metrics.current_bucket()
         level = len(self.trail_lim)
 
@@ -260,7 +263,6 @@ class Solver:
                 trail.append(first)
                 if heap_pos[v0] >= 0:
                     heap.remove(v0)
-                ctr.propagations += 1
                 bucket.propagations += 1
                 i += 1
         return None
@@ -275,9 +277,7 @@ class Solver:
         the metrics collector.
         """
         v = self.activities.heap.pop_max()
-        is_glue = self.glue.is_glue_var(v) if self.glue is not None else False
-        self.metrics.record_decision(v, is_glue)
-        self.counters.decisions += 1
+        self.metrics.record_decision(v, self.glue.is_glue_var(v))
         self.trail_lim.append(len(self.trail))
         lit = 2 * v + (0 if self.phases[v] else 1)
         self._enqueue(lit, None)
@@ -301,8 +301,7 @@ class Solver:
             self.phases[v] = (lit & 1) == 0
             self.values[v] = 0
             self.reasons[v] = None
-            if glue is not None:
-                glue.on_unassigned(v, activities)
+            glue.on_unassigned(v, activities)
             heap.insert(v)
         del self.trail[limit:]
         del self.trail_lim[level:]
@@ -319,7 +318,6 @@ class Solver:
         index 1 (the two watch slots). Bumps the activity of every
         variable met during resolution.
         """
-        self.counters.conflicts += 1
         current = self.current_level
         levels = self.levels
         seen = bytearray(self.num_vars)
@@ -367,11 +365,7 @@ class Solver:
         return learnt, assertion_level, lbd
 
     def _attach_learnt(self, lits: list[int], lbd: int) -> Clause:
-        if self.glue is not None:
-            is_glue = self.glue.is_glue_lbd(lbd)
-        else:
-            is_glue = 2 <= lbd <= self.config.glue_lbd_max
-        c = Clause(list(lits), learnt=True, lbd=lbd, glue=is_glue)
+        c = Clause(list(lits), learnt=True, lbd=lbd)
         self._bump_clause_activity(c)
         self.learnts.append(c)
         if len(lits) >= 2:
@@ -429,78 +423,67 @@ class Solver:
     # ---- main loop ---------------------------------------------------------
 
     def solve(self) -> SolveResult:
+        if self._solved:
+            raise RuntimeError("Solver is single-use: solve() was already called")
+        self._solved = True
         t_start = time.perf_counter()
         cfg = self.config
         verdict = Verdict.UNKNOWN
         model: Optional[list[int]] = None
 
+        while not self._root_conflict:
+            confl = self.propagate()
+            if confl is not None:
+                self.conflicts_since_restart += 1
+                if self.current_level == 0:
+                    self._root_conflict = True
+                    break
+                lits, assertion_level, lbd = self.analyze_conflict(confl)
+                self.metrics.record_conflict(lbd)
+                self.backtrack(assertion_level)
+                clause = self._attach_learnt(lits, lbd)
+                if self.glue.is_glue_lbd(lbd):
+                    self.glue.on_glue_clause_learned(clause)
+                self._enqueue(lits[0], clause)
+                self.activities.decay()
+                self.cla_inc /= CLAUSE_DECAY
+                conflicts = self.metrics.total("conflicts")
+                if self.num_vars > 0 and conflicts % GF_SAMPLE_INTERVAL == 0:
+                    self.metrics.sample_gf(conflicts, self.glue.glue_var_count / self.num_vars)
+                if self.should_restart():
+                    self._restart()
+                if cfg.max_conflicts is not None and conflicts >= cfg.max_conflicts:
+                    break
+                if (
+                    cfg.time_limit_s is not None
+                    and time.perf_counter() - t_start >= cfg.time_limit_s
+                ):
+                    break
+            else:
+                if len(self.learnts) > self.learnt_limit:
+                    self.reduce_db()
+                if len(self.trail) == self.num_vars:
+                    verdict = Verdict.SAT
+                    model = [
+                        (v + 1) if self.values[v] > 0 else -(v + 1)
+                        for v in range(self.num_vars)
+                    ]
+                    break
+                self.decide()
+
         if self._root_conflict:
-            self.counters.conflicts += 1
             self.metrics.record_conflict(None)
             if self.proof is not None:
                 self.proof.add([])
             verdict = Verdict.UNSAT
-        else:
-            while True:
-                confl = self.propagate()
-                if confl is not None:
-                    self.conflicts_since_restart += 1
-                    if self.current_level == 0:
-                        self.counters.conflicts += 1
-                        self.metrics.record_conflict(None)
-                        if self.proof is not None:
-                            self.proof.add([])
-                        verdict = Verdict.UNSAT
-                        break
-                    lits, assertion_level, lbd = self.analyze_conflict(confl)
-                    self.metrics.record_conflict(lbd)
-                    self.backtrack(assertion_level)
-                    clause = self._attach_learnt(lits, lbd)
-                    if clause.glue:
-                        self.counters.glue_clauses += 1
-                        if self.glue is not None:
-                            self.glue.on_glue_clause_learned(clause)
-                    self._enqueue(lits[0], clause)
-                    self.activities.decay()
-                    self.cla_inc /= CLAUSE_DECAY
-                    if (
-                        self.num_vars > 0
-                        and self.counters.conflicts % GF_SAMPLE_INTERVAL == 0
-                    ):
-                        gvc = self.glue.glue_var_count if self.glue is not None else 0
-                        self.metrics.sample_gf(self.counters.conflicts, gvc / self.num_vars)
-                    if self.should_restart():
-                        self._restart()
-                    if (
-                        cfg.max_conflicts is not None
-                        and self.counters.conflicts >= cfg.max_conflicts
-                    ):
-                        break
-                    if (
-                        cfg.time_limit_s is not None
-                        and time.perf_counter() - t_start >= cfg.time_limit_s
-                    ):
-                        break
-                else:
-                    if len(self.learnts) > self.learnt_limit:
-                        self.reduce_db()
-                    if len(self.trail) == self.num_vars:
-                        verdict = Verdict.SAT
-                        model = [
-                            (v + 1) if self.values[v] > 0 else -(v + 1)
-                            for v in range(self.num_vars)
-                        ]
-                        break
-                    self.decide()
-
         if self.proof is not None:
             self.proof.flush()
-        glue_vars = self.glue.glue_var_count if self.glue is not None else 0
-        report = finalize_report(self.metrics, self.counters, glue_vars, self.num_vars)
+        counters = self.counters
+        report = finalize_report(self.metrics, counters, self.glue.glue_var_count, self.num_vars)
         return SolveResult(
             verdict,
             model,
-            self.counters,
+            counters,
             report,
             self.restarts,
             time.perf_counter() - t_start,

@@ -18,9 +18,7 @@ def force_decision(solver: Solver, ext_lit: int) -> int:
     trail into known shapes this way)."""
     v = abs(ext_lit) - 1
     lit = 2 * v + (0 if ext_lit > 0 else 1)
-    is_glue = solver.glue.is_glue_var(v) if solver.glue is not None else False
-    solver.metrics.record_decision(v, is_glue)
-    solver.counters.decisions += 1
+    solver.metrics.record_decision(v, solver.glue.is_glue_var(v))
     solver.trail_lim.append(len(solver.trail))
     solver._enqueue(lit, None)
     return lit

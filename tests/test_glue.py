@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from oracles import replay_activity_log
 
 
 def glue_clause(ext_lits):
-    return Clause([lit_from_int(x) for x in ext_lits], learnt=True, lbd=2, glue=True)
+    return Clause([lit_from_int(x) for x in ext_lits], learnt=True, lbd=2)
 
 
 # ---- raising glue levels (learning-time hook) --------------------------------
@@ -268,18 +269,24 @@ def test_trace_replay_recomputes_final_activities():
             ), (name, v)
 
 
-def test_gb_off_equals_tracker_absent():
-    # a disabled tracker must not perturb the search at all
+def test_gb_off_equals_tracker_blind():
+    # with bumping off, glue tracking must not perturb the search at all:
+    # a tracker that never sees a glue clause gives the same run
     for seed in range(4):
         f = random_ksat(22, 95, seed=seed + 11)
         plain = InstrumentedSolver(f, SolverConfig(glue_bump=False))
         r_plain = plain.solve()
-        absent = InstrumentedSolver(f, SolverConfig(glue_bump=False), glue_tracker=None)
-        r_absent = absent.solve()
-        assert r_plain.verdict == r_absent.verdict
-        assert r_plain.counters == r_absent.counters
-        assert plain.decision_lits == absent.decision_lits
-        assert r_plain.restarts == r_absent.restarts
+        blind = InstrumentedSolver(f, SolverConfig(glue_bump=False))
+        blind.glue.on_glue_clause_learned = lambda clause: None
+        r_blind = blind.solve()
+        assert blind.glue.glue_clause_count == 0
+        assert r_plain.counters.glue_clauses > 0
+        assert r_plain.verdict == r_blind.verdict
+        assert replace(r_plain.counters, glue_clauses=0) == replace(
+            r_blind.counters, glue_clauses=0
+        )
+        assert plain.decision_lits == blind.decision_lits
+        assert r_plain.restarts == r_blind.restarts
 
 
 def test_gb_on_changes_nothing_until_glue_exists():

@@ -70,6 +70,13 @@ def test_conflict_budget_gives_unknown():
     assert r.counters.conflicts == 5
 
 
+def test_second_solve_raises():
+    s = Solver(pigeonhole(3))
+    assert s.solve().verdict is Verdict.UNSAT
+    with pytest.raises(RuntimeError, match="single-use"):
+        s.solve()
+
+
 # ---- propagate ---------------------------------------------------------------
 
 
@@ -371,7 +378,7 @@ def test_interleaved_bump_decay_matches_naive_replay():
 
 def _fabricate_learnt(s, ext_lits, lbd, activity=0.0):
     c = Clause([2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in ext_lits],
-               learnt=True, lbd=lbd, glue=(lbd == 2), activity=activity)
+               learnt=True, lbd=lbd, activity=activity)
     s.learnts.append(c)
     s._watch(c)
     return c
