@@ -1,13 +1,14 @@
 """Variable activities and the branching priority structure.
 
 EVSIDS-style scoring: conflicts bump involved variables by a growing
-increment; "decay" multiplies the increment instead of touching stored
-scores. Everything is rescaled by 1e-100 once any activity passes 1e100,
+increment; "decay" divides the increment by DECAY instead of touching
+stored scores. Everything is rescaled by 1e-100 once any activity passes 1e100,
 which preserves the argmax.
 """
 
 from __future__ import annotations
 
+DECAY = 0.95
 RESCALE_LIMIT = 1e100
 RESCALE_FACTOR = 1e-100
 
@@ -99,12 +100,9 @@ class VarOrderHeap:
 class ActivityTable:
     """Per-variable activity scores plus the branching heap."""
 
-    def __init__(self, num_vars: int, decay: float = 0.95):
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0,1), got {decay}")
+    def __init__(self, num_vars: int):
         self.activity = [0.0] * num_vars
         self.var_inc = 1.0
-        self.decay_factor = decay
         self.heap = VarOrderHeap(self.activity)
 
     def bump(self, var: int, amount: float | None = None) -> None:
@@ -115,8 +113,8 @@ class ActivityTable:
         self.heap.update(var)
 
     def decay(self) -> None:
-        """One conflict's worth of decay: grow the increment by 1/decay."""
-        self.var_inc /= self.decay_factor
+        """One conflict's worth of decay: grow the increment by 1/DECAY."""
+        self.var_inc /= DECAY
 
     def rescale(self) -> None:
         """Scale all activities and the increment down by 1e-100.

@@ -2,9 +2,9 @@
 
 Each (instance, config) pair solves in its own worker process under a
 wall-clock timeout; the solver also sees the timeout so it can give up
-cleanly between conflicts, and a hard kill at timeout plus a grace
-period catches runaways. Unsolved instances score twice the timeout
-(PAR-2, reported as a sum over instances). A cumulative series of
+cleanly between propagation rounds, and a hard kill at timeout plus a
+grace period catches runaways. Unsolved instances score twice the
+timeout (PAR-2, reported as a sum over instances). A cumulative series of
 solved(gb, <=t) - solved(baseline, <=t) over a time grid supports
 solve-time difference plots.
 """
@@ -168,6 +168,9 @@ def run_corpus(
         still: list[tuple] = []
         for item in running:
             proc, conn, inst, name, start = item
+            # Sample liveness before polling: a worker that exits between
+            # the two calls has its message in the pipe by then.
+            alive = proc.is_alive()
             if conn.poll():
                 try:
                     msg = conn.recv()
@@ -185,7 +188,7 @@ def run_corpus(
                         msg.get("error", ""),
                     )
                 )
-            elif not proc.is_alive():
+            elif not alive:
                 proc.join()
                 records.append(
                     RunRecord(inst, name, "ERROR", 0.0, timeout_s, None, "worker died")
@@ -259,17 +262,15 @@ def solved_diff_series(
     records: Sequence[RunRecord],
     timeout_s: float,
     points: int = SERIES_POINTS,
-    better: str = "gb",
-    base: str = "baseline",
 ) -> list[tuple[float, int]]:
-    """solved(better, <=t) - solved(base, <=t) on a uniform time grid."""
-    better_times = sorted(r.wall_time_s for r in records if r.config == better and r.solved)
-    base_times = sorted(r.wall_time_s for r in records if r.config == base and r.solved)
+    """solved(gb, <=t) - solved(baseline, <=t) on a uniform time grid."""
+    gb_times = sorted(r.wall_time_s for r in records if r.config == "gb" and r.solved)
+    base_times = sorted(r.wall_time_s for r in records if r.config == "baseline" and r.solved)
 
     series = []
     for i in range(points + 1):
         t = timeout_s * i / points
-        series.append((t, bisect_right(better_times, t) - bisect_right(base_times, t)))
+        series.append((t, bisect_right(gb_times, t) - bisect_right(base_times, t)))
     return series
 
 

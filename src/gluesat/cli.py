@@ -36,7 +36,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="bump glue-variable activities on backtrack (default: off)",
     )
     ap.add_argument("--timeout", type=float, default=None, metavar="S",
-                    help="wall-clock budget in seconds (checked between conflicts)")
+                    help="wall-clock budget in seconds; exceeding it yields UNKNOWN")
     ap.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                     help="conflict budget; exceeding it yields UNKNOWN")
     ap.add_argument("--seed", type=int, default=0, metavar="N",
@@ -64,10 +64,10 @@ def write_stats_csv(path: str, instance: str, verdict: str, wall: float, report)
         w.writerow(report.csv_row(instance, verdict, wall))
 
 
-def print_model(model: list[int], out=sys.stdout, width: int = 20) -> None:
+def print_model(model: list[int], out=sys.stdout) -> None:
     lits = model + [0]
-    for i in range(0, len(lits), width):
-        print("v " + " ".join(str(x) for x in lits[i : i + width]), file=out)
+    for i in range(0, len(lits), 20):
+        print("v " + " ".join(str(x) for x in lits[i : i + 20]), file=out)
 
 
 def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr) -> int:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from .activity import ActivityTable
 from .formula import Clause, lit_var
 
+GLUE_LBD = 2
+
 
 class CentralityUndefinedError(ValueError):
     """Centrality is undefined until at least one glue clause is learnt."""
@@ -31,10 +33,7 @@ class GlueTracker:
     are cumulative over a solve and never decrease.
     """
 
-    def __init__(self, num_vars: int, glue_lbd_max: int = 2, bump_enabled: bool = True):
-        if glue_lbd_max < 2:
-            raise ValueError(f"glue_lbd_max must be >= 2, got {glue_lbd_max}")
-        self.glue_lbd_max = glue_lbd_max
+    def __init__(self, num_vars: int, bump_enabled: bool = True):
         self.bump_enabled = bump_enabled
         self.glue_level = [0] * num_vars
         self.total_glue_level = 0
@@ -42,12 +41,9 @@ class GlueTracker:
         self.glue_var_count = 0
 
     def is_glue_lbd(self, lbd: int) -> bool:
-        """Whether a learnt clause with this LBD counts as glue.
-
-        Exactly lbd == 2 at the default setting; unit clauses (lbd 1)
-        never count.
-        """
-        return 2 <= lbd <= self.glue_lbd_max
+        """Whether a learnt clause with this LBD counts as glue: exactly
+        GLUE_LBD. Unit clauses (lbd 1) never count."""
+        return lbd == GLUE_LBD
 
     def is_glue_var(self, var: int) -> bool:
         return self.glue_level[var] > 0

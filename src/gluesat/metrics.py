@@ -48,8 +48,6 @@ STATS_CSV_HEADER = [
     "r_glue",
     "r_nonglue",
 ]
-# Columns excluded when comparing runs for determinism.
-WALL_TIME_COLUMNS = ("wall_time_s",)
 
 
 @dataclass
@@ -150,24 +148,23 @@ def _ratio(num: float, den: float) -> Optional[float]:
 
 def finalize_report(
     collector: MetricsCollector,
-    counters,
+    glue_clauses: int,
     glue_var_count: int,
     num_vars: int,
 ) -> MetricsReport:
     """Fold the collected counters into the per-instance report.
 
-    `counters` is the solver's SearchCounters, whose decisions,
-    propagations and conflicts are the sums of the glue, nonglue and
-    preamble buckets by construction (see Solver.counters).
+    The decision, propagation and conflict totals are the sums of the
+    glue, nonglue and preamble buckets.
     """
     g, ng = collector.glue, collector.nonglue
     gf = _ratio(glue_var_count, num_vars)
     ngf = None if gf is None else 1.0 - gf
     return MetricsReport(
-        decisions=counters.decisions,
-        propagations=counters.propagations,
-        conflicts=counters.conflicts,
-        glue_clauses=counters.glue_clauses,
+        decisions=collector.total("decisions"),
+        propagations=collector.total("propagations"),
+        conflicts=collector.total("conflicts"),
+        glue_clauses=glue_clauses,
         glue_decisions=g.decisions,
         nonglue_decisions=ng.decisions,
         pr_glue=_ratio(g.propagations, g.decisions),

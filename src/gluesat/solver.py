@@ -2,16 +2,16 @@
 
 Trail-based assignment with two watched literals per clause, first-UIP
 conflict analysis, EVSIDS branching, phase saving, Luby restarts, and
-LBD-aware clause-database reduction (clauses with LBD <= 2 are kept
-forever). Glue tracking and per-decision-class metrics live in the
+LBD-aware clause-database reduction (clauses with LBD <= GLUE_LBD are
+kept forever). Glue tracking and per-decision-class metrics live in the
 tracker and collector objects the solver owns; the search totals are
 summed from the collector's per-class buckets. A DRAT proof writer can
 be attached to log every learnt clause and deletion.
 
 Determinism: for a fixed formula and config the run is bit-reproducible.
 Ties in branching go to the lowest variable index, the default phase is
-False, and the wall-clock budget is only consulted between conflicts —
-it can truncate a run but never reorders heuristic state.
+False, and the wall-clock budget is checked before every propagation
+round — it can truncate a run but never reorders heuristic state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .activity import ActivityTable
 from .formula import Clause, Formula, lit_to_int
-from .glue import GlueTracker
+from .glue import GLUE_LBD, GlueTracker
 from .metrics import (
     GF_SAMPLE_INTERVAL,
     MetricsCollector,
@@ -35,6 +35,7 @@ from .proof import ProofWriter
 CLAUSE_ACT_LIMIT = 1e20
 CLAUSE_ACT_RESCALE = 1e-20
 CLAUSE_DECAY = 0.999
+RESTART_BASE = 100  # conflicts per unit of the Luby sequence
 
 
 def luby(i: int) -> int:
@@ -70,12 +71,8 @@ class Verdict(Enum):
 @dataclass
 class SolverConfig:
     glue_bump: bool = False
-    decay: float = 0.95
-    restart_base: int = 100
     learnt_limit: int = 2000
     learnt_limit_growth: int = 300
-    glue_lbd_max: int = 2
-    phase_default: bool = False
     # Recorded in outputs for reproducibility bookkeeping; the built-in
     # heuristics are fully deterministic and consume no randomness.
     seed: int = 0
@@ -121,18 +118,18 @@ class Solver:
         n = formula.num_vars
         self.num_vars = n
         self.proof = proof
-        self.glue = GlueTracker(n, self.config.glue_lbd_max, bump_enabled=self.config.glue_bump)
+        self.glue = GlueTracker(n, bump_enabled=self.config.glue_bump)
         self.metrics = MetricsCollector()
         self._solved = False
 
         self.values = [0] * n  # 0 unassigned, 1 true, -1 false
         self.levels = [0] * n
         self.reasons: list[Optional[Clause]] = [None] * n
-        self.phases = [self.config.phase_default] * n
+        self.phases = [False] * n
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activities = ActivityTable(n, self.config.decay)
+        self.activities = ActivityTable(n)
         for v in range(n):
             self.activities.heap.insert(v)
 
@@ -386,7 +383,7 @@ class Solver:
     def reduce_db(self) -> int:
         """Delete the worse half of the deletable learnt clauses.
 
-        Clauses with LBD <= 2 (glue and unit) and clauses currently
+        Clauses with LBD <= GLUE_LBD (glue and unit) and clauses currently
         serving as reasons are never deleted. The rest are ranked by
         (LBD ascending, activity descending) and the bottom half goes,
         each deletion logged to the proof. Grows the reduction limit.
@@ -396,7 +393,7 @@ class Solver:
             for lit in self.trail
             if self.reasons[lit >> 1] is not None
         }
-        candidates = [c for c in self.learnts if c.lbd > 2 and id(c) not in locked]
+        candidates = [c for c in self.learnts if c.lbd > GLUE_LBD and id(c) not in locked]
         candidates.sort(key=lambda c: (c.lbd, -c.activity))
         doomed = candidates[len(candidates) - len(candidates) // 2 :]
         doomed_ids = {id(c) for c in doomed}
@@ -411,7 +408,7 @@ class Solver:
     # ---- restarts ----------------------------------------------------------
 
     def should_restart(self) -> bool:
-        bound = self.config.restart_base * luby(self.restarts + 1)
+        bound = RESTART_BASE * luby(self.restarts + 1)
         return self.conflicts_since_restart >= bound
 
     def _restart(self) -> None:
@@ -430,8 +427,11 @@ class Solver:
         cfg = self.config
         verdict = Verdict.UNKNOWN
         model: Optional[list[int]] = None
+        deadline = None if cfg.time_limit_s is None else t_start + cfg.time_limit_s
 
         while not self._root_conflict:
+            if deadline is not None and time.perf_counter() >= deadline:
+                break
             confl = self.propagate()
             if confl is not None:
                 self.conflicts_since_restart += 1
@@ -454,11 +454,6 @@ class Solver:
                     self._restart()
                 if cfg.max_conflicts is not None and conflicts >= cfg.max_conflicts:
                     break
-                if (
-                    cfg.time_limit_s is not None
-                    and time.perf_counter() - t_start >= cfg.time_limit_s
-                ):
-                    break
             else:
                 if len(self.learnts) > self.learnt_limit:
                     self.reduce_db()
@@ -478,12 +473,13 @@ class Solver:
             verdict = Verdict.UNSAT
         if self.proof is not None:
             self.proof.flush()
-        counters = self.counters
-        report = finalize_report(self.metrics, counters, self.glue.glue_var_count, self.num_vars)
+        report = finalize_report(
+            self.metrics, self.glue.glue_clause_count, self.glue.glue_var_count, self.num_vars
+        )
         return SolveResult(
             verdict,
             model,
-            counters,
+            self.counters,
             report,
             self.restarts,
             time.perf_counter() - t_start,

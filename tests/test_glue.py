@@ -49,8 +49,12 @@ def test_duplicate_clause_still_counts():
 
 def test_non_glue_clause_rejected():
     t = GlueTracker(3)
+    assert t.is_glue_lbd(2)
+    assert not any(t.is_glue_lbd(lbd) for lbd in (1, 3, 4))
     with pytest.raises(ValueError, match="not a glue clause"):
         t.on_glue_clause_learned(Clause([0, 2], learnt=True, lbd=3))
+    with pytest.raises(ValueError, match="not a glue clause"):
+        t.on_glue_clause_learned(Clause([0, 2, 4], learnt=True, lbd=3))
     with pytest.raises(ValueError, match="not a glue clause"):
         t.on_glue_clause_learned(Clause([0], learnt=True, lbd=1))
     with pytest.raises(ValueError, match="not a glue clause"):
@@ -76,16 +80,6 @@ def test_levels_match_occurrence_recount_over_random_sequence():
     assert t.glue_level == counts
     assert t.total_glue_level == sum(counts)
     assert t.glue_var_count == sum(1 for c in counts if c > 0)
-
-
-def test_glue_lbd_max_widens_the_band():
-    t = GlueTracker(4, glue_lbd_max=3)
-    assert t.is_glue_lbd(2) and t.is_glue_lbd(3)
-    assert not t.is_glue_lbd(1) and not t.is_glue_lbd(4)
-    t.on_glue_clause_learned(Clause([0, 2, 4], learnt=True, lbd=3))
-    assert t.glue_clause_count == 1
-    with pytest.raises(ValueError):
-        GlueTracker(2, glue_lbd_max=1)
 
 
 # ---- bump on unassignment ------------------------------------------------------

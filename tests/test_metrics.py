@@ -9,12 +9,8 @@ from gluesat.metrics import (
     MetricsCollector,
     finalize_report,
 )
-from gluesat.solver import SearchCounters, Solver, SolverConfig, Verdict
+from gluesat.solver import Solver, SolverConfig, Verdict
 from helpers import attach_classification_log
-
-
-def counters(d=0, p=0, c=0, g=0):
-    return SearchCounters(decisions=d, propagations=p, conflicts=c, glue_clauses=g)
 
 
 # ---- classification and attribution -----------------------------------------
@@ -124,14 +120,15 @@ def test_pr_is_propagations_per_decision():
         m.record_decision(1, is_glue=True)
     for _ in range(100):
         m.record_propagation()
-    r = finalize_report(m, counters(d=10, p=100), glue_var_count=0, num_vars=5)
+    r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=5)
+    assert (r.decisions, r.propagations, r.conflicts) == (10, 100, 0)
     assert r.pr_glue == 10.0
     assert r.pr_nonglue is None  # no nonglue decisions: absent, not zero
 
 
 def test_report_absent_ratios_serialize_empty():
     m = MetricsCollector()
-    r = finalize_report(m, counters(), glue_var_count=0, num_vars=4)
+    r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=4)
     row = r.csv_row("inst", "UNKNOWN", 0.5)
     header_index = {name: i for i, name in enumerate(STATS_CSV_HEADER)}
     for col in ("pr_glue", "lr_glue", "albd_glue", "r_glue"):
@@ -142,16 +139,16 @@ def test_report_absent_ratios_serialize_empty():
 
 def test_gf_ngf_sum_to_one():
     for gvc, n in [(3, 7), (0, 5), (11, 11), (1, 997)]:
-        r = finalize_report(MetricsCollector(), counters(), gvc, n)
+        r = finalize_report(MetricsCollector(), 0, gvc, n)
         assert abs(r.gf + r.ngf - 1.0) <= 1e-12
-    r = finalize_report(MetricsCollector(), counters(), 0, 0)
+    r = finalize_report(MetricsCollector(), 0, 0, 0)
     assert r.gf is None and r.ngf is None
 
 
 def test_pool_bias_arithmetic_glue_pool():
     # the published bias computation: a GF/NGF split of 0.22/0.78 means
     # the nonglue pool is (0.78-0.22)/0.22 * 100 = 254.54% bigger
-    r = finalize_report(MetricsCollector(), counters(), glue_var_count=22, num_vars=100)
+    r = finalize_report(MetricsCollector(), glue_clauses=0, glue_var_count=22, num_vars=100)
     assert r.gf == pytest.approx(0.22)
     assert r.ngf == pytest.approx(0.78)
     bias = (r.ngf - r.gf) / r.gf * 100
@@ -171,7 +168,7 @@ def test_r_ratios_use_pool_fractions():
         m.record_decision(0, is_glue=True)
     for _ in range(4):
         m.record_decision(1, is_glue=False)
-    r = finalize_report(m, counters(d=10), glue_var_count=5, num_vars=20)
+    r = finalize_report(m, glue_clauses=0, glue_var_count=5, num_vars=20)
     assert r.r_glue == pytest.approx(6 / 0.25)
     assert r.r_nonglue == pytest.approx(4 / 0.75)
 
@@ -179,10 +176,10 @@ def test_r_ratios_use_pool_fractions():
 def test_r_glue_absent_when_gf_zero():
     m = MetricsCollector()
     m.record_decision(0, is_glue=False)
-    r = finalize_report(m, counters(d=1), glue_var_count=0, num_vars=3)
+    r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=3)
     assert r.r_glue is None
     assert r.r_nonglue == pytest.approx(1.0)
-    full = finalize_report(m, counters(d=1), glue_var_count=3, num_vars=3)
+    full = finalize_report(m, glue_clauses=0, glue_var_count=3, num_vars=3)
     assert full.r_nonglue is None  # NGF == 0
 
 
@@ -190,7 +187,7 @@ def test_gf_series_sampling():
     m = MetricsCollector()
     m.sample_gf(10_000, 0.25)
     m.sample_gf(20_000, 0.5)
-    r = finalize_report(m, counters(), 5, 10)
+    r = finalize_report(m, 0, 5, 10)
     assert r.gf_series == [(10_000, 0.25), (20_000, 0.5)]
     assert [g for _, g in r.gf_series] == sorted(g for _, g in r.gf_series)
 

@@ -466,15 +466,6 @@ def test_restart_count_matches_luby_oracle_at_10000_conflicts():
     assert r.restarts == simulate_luby_restarts(10_000, 100)
 
 
-def test_restart_base_is_configurable():
-    f = pigeonhole(5)
-    s = Solver(f, SolverConfig(restart_base=10, max_conflicts=500))
-    r = s.solve()
-    assert r.verdict is Verdict.UNSAT
-    # the terminal level-0 conflict ends the run before a restart check
-    assert r.restarts == simulate_luby_restarts(r.counters.conflicts - 1, 10)
-
-
 # ---- cross-cutting invariants -------------------------------------------------------
 
 
@@ -555,3 +546,11 @@ def test_time_budget_unknown():
     r = solve(f, SolverConfig(time_limit_s=0.05))
     assert r.verdict is Verdict.UNKNOWN
     assert r.elapsed_s >= 0.05
+
+
+def test_time_budget_bounds_a_conflict_free_run():
+    # 60,000 decisions and not one conflict: the budget must still stop it
+    r = solve(Formula(60_000, []), SolverConfig(time_limit_s=0.05))
+    assert r.verdict is Verdict.UNKNOWN
+    assert r.counters.conflicts == 0
+    assert 0.05 <= r.elapsed_s < 0.5
