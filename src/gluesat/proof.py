@@ -96,8 +96,9 @@ class _ClauseDb:
         return v if lit > 0 else -v
 
     def add(self, lits: Sequence[int]) -> None:
-        clause = list(lits)
-        self.registry.setdefault(tuple(sorted(clause)), []).append(clause)
+        # a repeated literal would take both watches and hide the clause's unit
+        clause = list(dict.fromkeys(lits))
+        self.registry.setdefault(tuple(sorted(lits)), []).append(clause)
         if not clause:
             self.has_empty = True
         elif len(clause) == 1:

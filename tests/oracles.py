@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles, sharing
 no code with the package under test: truth-table enumeration over
-bigint bitmaps, direct clause evaluation, a list-doubling Luby
-generator, and a resolution-based first-UIP calculator.
+bigint bitmaps, direct clause evaluation, full-scan unit propagation,
+a list-doubling Luby generator, and a resolution-based first-UIP
+calculator.
 """
 
 from __future__ import annotations
@@ -87,6 +88,59 @@ def proof_steps_semantically_valid(formula: Formula, events) -> bool:
         if not clause:
             return True
         db.append(clause)
+    return False
+
+
+def _unit_propagation_conflicts(clauses: list[list[int]], assumptions: list[int]) -> bool:
+    """Full-scan unit propagation: sweep every clause until a sweep
+    changes nothing. A clause is the set of its literals, so duplicate
+    literals count once and a tautology is never unit."""
+    true: set[int] = set()
+    for lit in assumptions:
+        if -lit in true:
+            return True
+        true.add(lit)
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(l in true for l in clause):
+                continue
+            open_lits = {l for l in clause if -l not in true}
+            if not open_lits:
+                return True
+            if len(open_lits) == 1:
+                true.add(open_lits.pop())
+                changed = True
+    return False
+
+
+def rup_reference(formula: Formula, events) -> bool:
+    """Naive replay of a clausal proof by reverse unit propagation, for
+    differential testing of the RUP checker.
+
+    Every added clause must make unit propagation over the live clauses
+    plus its negated literals reach a conflict; the replay accepts at the
+    first such empty clause. A deletion removes one live clause with the
+    same sorted literals, an unknown clause is a no-op, and the empty
+    clause is never deleted.
+    """
+    clauses: list[list[int]] = [c.to_ints() for c in formula.clauses]
+    for ev in events:
+        if ev.kind == "delete":
+            key = sorted(ev.lits)
+            if not key:
+                continue
+            for i, c in enumerate(clauses):
+                if sorted(c) == key:
+                    del clauses[i]
+                    break
+            continue
+        if not _unit_propagation_conflicts(clauses, [-l for l in ev.lits]):
+            return False
+        if not ev.lits:
+            return True
+        clauses.append(list(ev.lits))
     return False
 
 

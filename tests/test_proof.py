@@ -2,8 +2,9 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gluesat.formula import parse_dimacs
+from gluesat.formula import Formula, parse_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
 from gluesat.proof import (
     ADD,
@@ -14,7 +15,11 @@ from gluesat.proof import (
     parse_drat,
 )
 from gluesat.solver import Solver, SolverConfig, Verdict
-from oracles import truth_table_satisfiable
+from oracles import (
+    proof_steps_semantically_valid,
+    rup_reference,
+    truth_table_satisfiable,
+)
 
 
 def solve_with_proof(formula, **cfg):
@@ -149,6 +154,16 @@ def test_deleting_a_needed_clause_breaks_the_proof():
     assert check_rup(f, "d 5 0\n0\n") is True  # deleting nothing is a no-op
 
 
+def test_repeated_literal_still_propagates():
+    # [1 1] is the unit 1; [1 1 2] with 2 false implies 1
+    f = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+    assert check_rup(f, "1 1 0\n0\n") is True
+    f = parse_dimacs("p cnf 4 5\n1 2 3 0\n1 2 -3 0\n-1 4 0\n-1 -4 0\n-2 0\n")
+    assert check_rup(f, "1 1 2 0\n0\n") is True
+    assert check_rup(f, "1 1 2 0\nd 1 2 0\n0\n") is True  # other literals: no match
+    assert check_rup(f, "1 1 2 0\nd 2 1 1 0\n0\n") is False
+
+
 def test_solver_proofs_verify_on_mixed_corpus():
     instances = [
         pigeonhole(3),
@@ -201,8 +216,6 @@ def test_mutation_sensitivity_and_sound_acceptance():
     refutation (verified here by exhaustive implication checking), never
     because the checker waved something unsound through.
     """
-    from oracles import proof_steps_semantically_valid
-
     f = pigeonhole(4)  # 20 variables: survivors can be vindicated exactly
     result, proof = solve_with_proof(f)
     assert result.verdict is Verdict.UNSAT
@@ -221,3 +234,72 @@ def test_mutation_sensitivity_and_sound_acceptance():
             rejected += 1
     assert rejected >= trials // 2  # the checker is clearly not a stub
     assert rejected + survivors == trials
+
+
+# ---- differential fuzzing against the full-scan reference ------------------------
+
+EDITS = (
+    "add_random",       # any literals: duplicates and tautologies included
+    "add_copy",         # a clause already in the formula or the proof
+    "repeat_lit",       # one literal of a proof lemma repeated in place
+    "add_tautology",    # a known clause plus v and -v
+    "delete_random",    # usually a clause nobody added
+    "delete_unit",      # a one-literal clause, known or not
+    "delete_known",     # a formula or proof clause, literals reordered
+    "delete_empty",
+    "drop_event",       # remove one event of the solver's proof
+)
+
+
+@given(st.data())
+def test_check_rup_matches_reference_on_adversarial_proofs(data):
+    """check_rup agrees exactly with a naive full-scan RUP replay on
+    solver proofs of small random formulas, each with adversarial events
+    spliced in; whatever it accepts is also a semantically valid proof."""
+    n = data.draw(st.integers(1, 10), label="num_vars")
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(lit, min_size=min(n, 2), max_size=3, unique_by=abs)
+    m = data.draw(st.integers(0, 6 * n), label="num_clauses")
+    formula = Formula.from_ints(n, data.draw(st.lists(clause, min_size=m, max_size=m)))
+    _, proof = solve_with_proof(
+        formula,
+        glue_bump=data.draw(st.booleans(), label="glue_bump"),
+        learnt_limit=data.draw(st.sampled_from((1, 2000)), label="learnt_limit"),
+        learnt_limit_growth=0,
+    )
+    events = parse_drat(proof)
+    known = [c.to_ints() for c in formula.clauses] + [e.lits for e in events if e.lits]
+    for edit in data.draw(st.lists(st.sampled_from(EDITS), max_size=6), label="edits"):
+        if edit == "drop_event":
+            if events:
+                del events[data.draw(st.integers(0, len(events) - 1))]
+            continue
+        if edit == "repeat_lit":
+            lemmas = [e.lits for e in events if e.kind == ADD and e.lits]
+            if lemmas:
+                lits = data.draw(st.sampled_from(lemmas))
+                repeated = data.draw(st.sampled_from(lits))
+                lits.insert(data.draw(st.integers(0, len(lits))), repeated)
+            continue
+        if edit in ("add_random", "delete_random"):
+            lits = data.draw(st.lists(lit, max_size=4))
+        elif edit == "delete_unit":
+            lits = [data.draw(lit)]
+        elif edit == "delete_empty":
+            lits = []
+        elif not known:
+            continue
+        else:
+            lits = list(data.draw(st.sampled_from(known)))
+            if edit == "add_tautology":
+                v = data.draw(st.integers(1, n))
+                lits += [v, -v]
+            elif edit == "delete_known":
+                lits = data.draw(st.permutations(lits))
+        kind = ADD if edit.startswith("add") else DELETE
+        at = data.draw(st.integers(0, len(events)))
+        events.insert(at, ProofEvent(kind, lits))
+    accepted = check_rup(formula, events)
+    assert accepted is rup_reference(formula, events)
+    if accepted:
+        assert proof_steps_semantically_valid(formula, events)
