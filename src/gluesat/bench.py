@@ -32,8 +32,10 @@ SOLVED_VERDICTS = ("SATISFIABLE", "UNSATISFIABLE")
 HARD_KILL_GRACE_S = 5.0
 SERIES_POINTS = 100
 
-RECORDS_CSV_HEADER = ["instance", "config", "verdict", "wall_time_s", "timeout_s"] + (
-    STATS_CSV_HEADER[3:]
+RECORDS_CSV_HEADER = (
+    ["instance", "config", "verdict", "wall_time_s", "timeout_s"]
+    + STATS_CSV_HEADER[3:]
+    + ["error"]
 )
 SUMMARY_CSV_HEADER = ["config", "solved_sat", "solved_unsat", "par2_sum_s"]
 SERIES_CSV_HEADER = ["time_s", "solved_diff"]
@@ -62,8 +64,10 @@ class RunRecord:
             repr(self.timeout_s),
         ]
         if self.report is None:
-            return head + [""] * len(STATS_CSV_HEADER[3:])
-        return head + self.report.csv_row("", "", 0.0)[3:]
+            stats = [""] * len(STATS_CSV_HEADER[3:])
+        else:
+            stats = self.report.csv_row("", "", 0.0)[3:]
+        return head + stats + [self.error]
 
 
 @dataclass

@@ -165,7 +165,9 @@ def known_unsat_corpus() -> list[tuple[str, Formula]]:
     construction."""
     return [
         ("php6_5", pigeonhole(5)),
+        ("php7_6", pigeonhole(6)),
         ("parity12_contra", parity_contradiction(12)),
+        ("parity20_contra", parity_contradiction(20)),
     ]
 
 

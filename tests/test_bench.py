@@ -157,7 +157,7 @@ def test_run_corpus_end_to_end(small_corpus, tmp_path):
     assert [r["config"] for r in rows] == ["baseline", "gb"]
 
 
-def test_run_corpus_missing_file_is_error_record(small_corpus):
+def test_run_corpus_missing_file_is_error_record(small_corpus, tmp_path):
     configs = {"baseline": default_configs()["baseline"]}
     with pytest.warns(UserWarning, match="missing instance"):
         result = run_corpus(
@@ -168,6 +168,15 @@ def test_run_corpus_missing_file_is_error_record(small_corpus):
     assert errored[0].error == "missing file"
     (s,) = result.summaries
     assert s.par2_s < 30.0  # the errored record contributed nothing
+    # the error text survives into records.csv, as its last column
+    path = tmp_path / "records.csv"
+    write_records_csv(path, result.records)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-1] == "error"
+    assert sorted((r["verdict"], r["error"]) for r in rows) == [
+        ("ERROR", "missing file"), ("UNSATISFIABLE", "")
+    ]
 
 
 def test_run_corpus_deterministic_modulo_wall_time(small_corpus, tmp_path):
