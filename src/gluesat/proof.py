@@ -77,55 +77,52 @@ def parse_drat(text: str) -> list[ProofEvent]:
 class _ClauseDb:
     """Watched-literal clause store for repeated RUP propagations.
 
-    Watch positions persist across checks; that stays sound because every
-    check undoes its assignments, and a stale watch is re-examined the
-    next time its literal is falsified.
+    A literal l is coded once, at add, as 2*|l| + (l < 0), so its
+    negation is code ^ 1. `value` and `watches` are flat lists indexed by
+    code: an assignment sets value[c] = 1 and value[c ^ 1] = -1, and
+    watches[c] holds the clauses watching c, visited when c turns false.
+    A clause is a list of distinct codes whose first two are watched.
+
+    Watch positions persist across checks. That stays sound because every
+    check starts from the empty assignment, under which any two literals
+    of a clause are valid watches, and undoes its trail before returning.
     """
 
     def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.value: list[int] = [0] * (num_vars + 1)  # 1-indexed vars; 0/1/-1
-        self.watches: dict[int, list[list[int]]] = {}
-        self.units: list[list[int]] = []  # singleton clauses, wrapped for deletion
+        self.value: list[int] = [0] * (2 * num_vars + 2)  # 0/1/-1 per code
+        self.watches: list[list[list[int]]] = [[] for _ in self.value]
+        self.units: list[int] = []  # codes of singleton clauses
         self.has_empty = False
         # sorted-tuple key -> live clause objects, for deletions
         self.registry: dict[tuple[int, ...], list[list[int]]] = {}
 
-    def _lit_value(self, lit: int) -> int:
-        v = self.value[abs(lit)]
-        return v if lit > 0 else -v
-
     def add(self, lits: Sequence[int]) -> None:
         # a repeated literal would take both watches and hide the clause's unit
-        clause = list(dict.fromkeys(lits))
+        clause = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in lits))
         self.registry.setdefault(tuple(sorted(lits)), []).append(clause)
         if not clause:
             self.has_empty = True
         elif len(clause) == 1:
-            self.units.append(clause)
+            self.units.append(clause[0])
         else:
-            self.watches.setdefault(clause[0], []).append(clause)
-            self.watches.setdefault(clause[1], []).append(clause)
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
 
     def delete(self, lits: Sequence[int]) -> None:
         """Drop one clause with these literals; unknown clauses are a no-op
         (deleting a clause never makes a proof unsound)."""
-        key = tuple(sorted(lits))
-        bucket = self.registry.get(key)
+        bucket = self.registry.get(tuple(sorted(lits)))
         if not bucket:
             return
         clause = bucket.pop()
         if not clause:
             return  # the empty clause is never meaningfully deleted
         if len(clause) == 1:
-            self.units.remove(clause)
-        else:
-            for w in (clause[0], clause[1]):
-                lst = self.watches.get(w, [])
-                for i, c in enumerate(lst):
-                    if c is clause:
-                        del lst[i]
-                        break
+            self.units.remove(clause[0])
+            return
+        for w in clause[:2]:  # by identity: equal clauses may watch differently
+            watch_list = self.watches[w]
+            del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
 
     def propagates_to_conflict(self, assumptions: Sequence[int]) -> bool:
         """Assume the given literals, unit propagate, report conflict.
@@ -134,62 +131,54 @@ class _ClauseDb:
         """
         if self.has_empty:
             return True
+        value = self.value
+        watches = self.watches
         trail: list[int] = []
         conflict = False
-
-        def assign(lit: int) -> bool:
-            val = self._lit_value(lit)
-            if val > 0:
-                return True
-            if val < 0:
-                return False
-            self.value[abs(lit)] = 1 if lit > 0 else -1
-            trail.append(lit)
-            return True
-
-        for lit in assumptions:
-            if not assign(lit):
+        for lit in [2 * abs(l) + (l < 0) for l in assumptions] + self.units:
+            if value[lit] < 0:
                 conflict = True
                 break
-        if not conflict:
-            for unit in self.units:
-                if not assign(unit[0]):
-                    conflict = True
-                    break
+            if value[lit] == 0:
+                value[lit] = 1
+                value[lit ^ 1] = -1
+                trail.append(lit)
 
-        head = 0
-        while not conflict and head < len(trail):
-            falsified = -trail[head]
-            head += 1
-            watch_list = self.watches.get(falsified, [])
-            i = 0
-            while i < len(watch_list):
-                clause = watch_list[i]
-                # normalize: watched literals sit in slots 0 and 1
+        for lit in trail:  # the trail grows while it is walked
+            if conflict:
+                break
+            falsified = lit ^ 1
+            kept: list[list[int]] = []
+            remaining = iter(watches[falsified])
+            for clause in remaining:
+                # normalize: the falsified watch sits in slot 1
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = falsified
                 other = clause[0]
-                if self._lit_value(other) > 0:
-                    i += 1
+                if value[other] > 0:
+                    kept.append(clause)
                     continue
-                moved = False
                 for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) >= 0:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        watch_list[i] = watch_list[-1]
-                        watch_list.pop()
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        moved = True
+                    cand = clause[j]
+                    if value[cand] >= 0:
+                        clause[1] = cand
+                        clause[j] = falsified
+                        watches[cand].append(clause)
                         break
-                if moved:
-                    continue
-                if not assign(other):
-                    conflict = True
-                    break
-                i += 1
+                else:
+                    kept.append(clause)
+                    if value[other] < 0:
+                        conflict = True
+                        kept.extend(remaining)
+                        break
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    trail.append(other)
+            watches[falsified] = kept
 
         for lit in trail:
-            self.value[abs(lit)] = 0
+            value[lit] = value[lit ^ 1] = 0
         return conflict
 
 
@@ -197,10 +186,7 @@ def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool
     """True iff every added clause is RUP in order and the proof reaches
     the empty clause."""
     events = parse_drat(proof) if isinstance(proof, str) else list(proof)
-    max_var = formula.num_vars
-    for ev in events:
-        for lit in ev.lits:
-            max_var = max(max_var, abs(lit))
+    max_var = max([formula.num_vars] + [abs(l) for ev in events for l in ev.lits])
 
     db = _ClauseDb(max_var)
     for clause in formula.clauses:
