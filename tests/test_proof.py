@@ -139,6 +139,7 @@ def test_proof_without_empty_clause_fails():
 def test_empty_formula_clause_makes_anything_rup():
     f = parse_dimacs("p cnf 1 1\n0\n")
     assert check_rup(f, "0\n") is True
+    assert check_rup(f, "d 0\n0\n") is True  # the empty clause is never deleted
 
 
 def test_proof_variables_beyond_formula_range():
@@ -243,10 +244,9 @@ EDITS = (
     "add_copy",         # a clause already in the formula or the proof
     "repeat_lit",       # one literal of a proof lemma repeated in place
     "add_tautology",    # a known clause plus v and -v
-    "delete_random",    # usually a clause nobody added
+    "delete_random",    # usually a clause nobody added, maybe the empty one
     "delete_unit",      # a one-literal clause, known or not
     "delete_known",     # a formula or proof clause, literals reordered
-    "delete_empty",
     "drop_event",       # remove one event of the solver's proof
 )
 
@@ -285,8 +285,6 @@ def test_check_rup_matches_reference_on_adversarial_proofs(data):
             lits = data.draw(st.lists(lit, max_size=4))
         elif edit == "delete_unit":
             lits = [data.draw(lit)]
-        elif edit == "delete_empty":
-            lits = []
         elif not known:
             continue
         else:
