@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gluesat.formula import Clause, Formula, lit_to_int, parse_dimacs
-from gluesat.gen import pigeonhole, random_ksat
+from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
 from gluesat.solver import (
     SolverConfig,
     Solver,
@@ -266,6 +266,51 @@ def test_decide_uses_saved_phase():
     s.propagate()
     s.backtrack(0)  # phases of x1, x2 saved as True
     assert lit_to_int(s.decide()) == 1
+
+
+class ArgmaxOracleSolver(Solver):
+    """Checks every decision against a brute-force scan: the pick is the
+    max of (activity, -index) over all unassigned variables, and every
+    unassigned variable is in the branching heap."""
+
+    def __init__(self, *args, **kwargs):
+        self.checked_decisions = 0
+        self.reduce_db_calls = 0
+        super().__init__(*args, **kwargs)
+
+    def decide(self):
+        act = self.activities.activity
+        pos = self.activities.heap.pos
+        unassigned = [v for v in range(self.num_vars) if self.values[v] == 0]
+        missing = [v for v in unassigned if pos[v] < 0]
+        assert not missing, f"unassigned variables out of the heap: {missing}"
+        expected = max(unassigned, key=lambda v: (act[v], -v))
+        lit = super().decide()
+        assert lit >> 1 == expected
+        self.checked_decisions += 1
+        return lit
+
+    def reduce_db(self):
+        self.reduce_db_calls += 1
+        return super().reduce_db()
+
+
+@pytest.mark.parametrize("glue_bump", [False, True], ids=["baseline", "gb"])
+@pytest.mark.parametrize(
+    "build, extra",
+    [
+        (lambda: pigeonhole(5), {}),
+        (lambda: parity_contradiction(12), {}),
+        (lambda: random_ksat(100, 426, seed=2), {"max_conflicts": 400, "learnt_limit": 100}),
+    ],
+    ids=["php6_5", "parity12", "rand100_capped"],
+)
+def test_every_decision_is_the_unassigned_argmax(build, extra, glue_bump):
+    s = ArgmaxOracleSolver(build(), SolverConfig(glue_bump=glue_bump, **extra))
+    s.solve()
+    assert s.checked_decisions > 50
+    if "learnt_limit" in extra:
+        assert s.reduce_db_calls > 0
 
 
 # ---- backtrack ----------------------------------------------------------------
