@@ -17,8 +17,11 @@ class VarOrderHeap:
     """Binary max-heap over variables, keyed by activity.
 
     Ties break toward the lower variable index so decisions are
-    deterministic. Holds exactly the variables inserted and not yet
-    removed; the solver keeps that set equal to the unassigned variables.
+    deterministic; (activity, lower index) is a total order. The heap is
+    lazy: it holds a superset of the unassigned variables. Assigned
+    variables stay in it until `Solver.decide` pops them on its way to
+    the best unassigned one, and backtracking re-inserts only the
+    variables that were popped.
     """
 
     def __init__(self, activity: list[float]):
@@ -32,46 +35,55 @@ class VarOrderHeap:
     def __contains__(self, var: int) -> bool:
         return self.pos[var] >= 0
 
-    def _ranks_above(self, u: int, v: int) -> bool:
-        au, av = self.activity[u], self.activity[v]
-        return au > av or (au == av and u < v)
-
-    def _swap(self, i: int, j: int) -> None:
-        h = self.heap
-        h[i], h[j] = h[j], h[i]
-        self.pos[h[i]] = i
-        self.pos[h[j]] = j
-
     def _sift_up(self, i: int) -> None:
-        h = self.heap
+        """Move the variable at slot i toward the root, shifting the
+        parents it ranks above down one level (a hole, not swaps)."""
+        h, pos, act = self.heap, self.pos, self.activity
+        var = h[i]
+        a = act[var]
         while i > 0:
             parent = (i - 1) >> 1
-            if not self._ranks_above(h[i], h[parent]):
+            p = h[parent]
+            ap = act[p]
+            if a < ap or (a == ap and var > p):
                 break
-            self._swap(i, parent)
+            h[i] = p
+            pos[p] = i
             i = parent
+        h[i] = var
+        pos[var] = i
 
     def _sift_down(self, i: int) -> None:
-        h = self.heap
+        """Move the variable at slot i toward the leaves, shifting the
+        better child up one level while it ranks above that variable."""
+        h, pos, act = self.heap, self.pos, self.activity
         n = len(h)
+        var = h[i]
+        a = act[var]
         while True:
-            left = 2 * i + 1
-            if left >= n:
+            child = 2 * i + 1
+            if child >= n:
                 break
-            best = left
-            right = left + 1
-            if right < n and self._ranks_above(h[right], h[left]):
-                best = right
-            if not self._ranks_above(h[best], h[i]):
+            c = h[child]
+            ac = act[c]
+            right = child + 1
+            if right < n:
+                r = h[right]
+                ar = act[r]
+                if ar > ac or (ar == ac and r < c):
+                    child, c, ac = right, r, ar
+            if ac < a or (ac == a and c > var):
                 break
-            self._swap(i, best)
-            i = best
+            h[i] = c
+            pos[c] = i
+            i = child
+        h[i] = var
+        pos[var] = i
 
     def insert(self, var: int) -> None:
         assert self.pos[var] < 0, f"variable {var} already in heap"
         self.heap.append(var)
-        self.pos[var] = len(self.heap) - 1
-        self._sift_up(self.pos[var])
+        self._sift_up(len(self.heap) - 1)
 
     def remove(self, var: int) -> None:
         i = self.pos[var]
@@ -80,7 +92,6 @@ class VarOrderHeap:
         self.pos[var] = -1
         if i < len(self.heap):
             self.heap[i] = last
-            self.pos[last] = i
             self._sift_down(i)
             self._sift_up(i)
 
@@ -90,11 +101,14 @@ class VarOrderHeap:
         return var
 
     def update(self, var: int) -> None:
-        """Restore heap order after var's activity changed."""
+        """Restore heap order after var's activity rose.
+
+        Activities only rise (bumps add a non-negative amount, and a
+        rescale keeps every pair's order), so a sift up suffices.
+        """
         i = self.pos[var]
         if i >= 0:
             self._sift_up(i)
-            self._sift_down(i)
 
 
 class ActivityTable:

@@ -36,7 +36,7 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Clause:
     """A clause over internal literal codes.
 

@@ -8,9 +8,9 @@ glue level divided by the combined glue level of all glue variables.
 The bumping scheme is deliberately delayed: glue levels are raised the
 moment a glue clause is learnt (before its asserting literal is placed),
 but a variable's activity is only bumped when backtracking unassigns it,
-right before it re-enters the branching heap. The bump is multiplicative:
-activity grows by activity * centrality, i.e. by the factor
-(1 + centrality), so it commutes with global rescaling.
+so the bump is in the branching heap before the next decision. The bump
+is multiplicative: activity grows by activity * centrality, i.e. by the
+factor (1 + centrality), so it commutes with global rescaling.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class GlueTracker:
 
         No-op for nonglue variables or when bumping is disabled.
         Otherwise adds activity(var) * centrality(var), making the new
-        activity equal to the old one times (1 + centrality). Fires
-        before the variable re-enters the heap, so the heap orders by
-        the bumped score.
+        activity equal to the old one times (1 + centrality). The
+        backtrack that fires it finishes before the next decision, so
+        the heap orders that decision by the bumped score.
         """
         if not self.bump_enabled:
             return

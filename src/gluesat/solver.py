@@ -173,9 +173,6 @@ class Solver:
         self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.trail.append(lit)
-        heap = self.activities.heap
-        if v in heap:
-            heap.remove(v)
         if reason is not None:
             self.metrics.record_propagation()
 
@@ -216,8 +213,6 @@ class Solver:
         trail = self.trail
         levels = self.levels
         reasons = self.reasons
-        heap = self.activities.heap
-        heap_pos = heap.pos
         bucket = self.metrics.current_bucket()
         level = len(self.trail_lim)
 
@@ -227,7 +222,8 @@ class Solver:
             falsified = lit ^ 1
             watch_list = watches[falsified]
             i = 0
-            while i < len(watch_list):
+            n = len(watch_list)
+            while i < n:
                 c = watch_list[i]
                 lits = c.lits
                 if lits[0] == falsified:
@@ -247,6 +243,7 @@ class Solver:
                         lits[1], lits[j] = lj, lits[1]
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
+                        n -= 1
                         watches[lj].append(c)
                         moved = True
                         break
@@ -258,8 +255,6 @@ class Solver:
                 levels[v0] = level
                 reasons[v0] = c
                 trail.append(first)
-                if heap_pos[v0] >= 0:
-                    heap.remove(v0)
                 bucket.propagations += 1
                 i += 1
         return None
@@ -269,11 +264,16 @@ class Solver:
     def decide(self) -> int:
         """Open a new level on the best unassigned variable.
 
-        Picks the maximum-activity variable (ties to the lowest index)
-        with its saved phase, and reports the decision's glue class to
-        the metrics collector.
+        Picks the maximum-activity unassigned variable (ties to the
+        lowest index) with its saved phase, and reports the decision's
+        glue class to the metrics collector. Assigned variables popped on
+        the way leave the lazy heap here.
         """
-        v = self.activities.heap.pop_max()
+        heap = self.activities.heap
+        values = self.values
+        v = heap.pop_max()
+        while values[v] != 0:
+            v = heap.pop_max()
         self.metrics.record_decision(v, self.glue.is_glue_var(v))
         self.trail_lim.append(len(self.trail))
         lit = 2 * v + (0 if self.phases[v] else 1)
@@ -283,24 +283,32 @@ class Solver:
     def backtrack(self, level: int) -> None:
         """Unassign everything above `level`, newest first.
 
-        Each variable's phase is saved, the glue unassignment hook fires,
-        and only then does the variable re-enter the branching heap, so
-        the heap orders by post-bump activity.
+        Each variable's phase is saved and, under GB, a glue variable's
+        activity is bumped (through `heap.update` if it is still in the
+        lazy heap). A variable that `decide` popped re-enters the heap
+        after its bump. Either way the bump lands before the next
+        decision.
         """
         assert level < self.current_level
         limit = self.trail_lim[level]
-        heap = self.activities.heap
-        glue = self.glue
+        trail, phases, values, reasons = self.trail, self.phases, self.values, self.reasons
         activities = self.activities
-        for idx in range(len(self.trail) - 1, limit - 1, -1):
-            lit = self.trail[idx]
+        heap = activities.heap
+        heap_pos = heap.pos
+        glue = self.glue
+        glue_level = glue.glue_level
+        bump_enabled = glue.bump_enabled
+        for idx in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[idx]
             v = lit >> 1
-            self.phases[v] = (lit & 1) == 0
-            self.values[v] = 0
-            self.reasons[v] = None
-            glue.on_unassigned(v, activities)
-            heap.insert(v)
-        del self.trail[limit:]
+            phases[v] = (lit & 1) == 0
+            values[v] = 0
+            reasons[v] = None
+            if bump_enabled and glue_level[v] > 0:
+                glue.on_unassigned(v, activities)
+            if heap_pos[v] < 0:
+                heap.insert(v)
+        del trail[limit:]
         del self.trail_lim[level:]
         self.qhead = min(self.qhead, limit)
         self.metrics.on_backtrack(level)

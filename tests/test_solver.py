@@ -337,28 +337,28 @@ def test_backtrack_to_zero_clears_everything_above():
     assert len(s.activities.heap) == 4
 
 
-def test_backtrack_hook_order_bump_before_reinsert():
-    s = Solver(Formula(2, []), SolverConfig(glue_bump=True))
-    force_decision(s, 2)  # v1 (index 1) at level 1
-    force_decision(s, 1)  # v0 (index 0) at level 2
+@pytest.mark.parametrize("opened_by", ["decide", "force_decision"])
+def test_backtrack_glue_bump_lands_before_next_decision(opened_by):
+    s = Solver(Formula(3, []), SolverConfig(glue_bump=True))
+    if opened_by == "decide":
+        s.decide()  # v0 at level 1, popped from the heap
+        s.decide()  # v1 at level 2, popped from the heap
+    else:
+        force_decision(s, 2)  # v1 at level 1, left in the heap
+        force_decision(s, 1)  # v0 at level 2, left in the heap
     s.glue.glue_level[0] = 3
     s.glue.glue_level[1] = 1
     s.glue.total_glue_level = 4
     s.glue.glue_var_count = 2
-    s.activities.activity[0] = 2.0
+    s.activities.bump(0, 2.0)
+    # x3 ranks above x1's activity before the bump, below it after
+    s.activities.bump(2, 3.0)
 
-    seen_at_insert = []
-    heap = s.activities.heap
-    orig_insert = heap.insert
-
-    def recording_insert(v):
-        seen_at_insert.append((v, s.activities.activity[v]))
-        orig_insert(v)
-
-    heap.insert = recording_insert
     s.backtrack(0)
-    # reverse trail order: v0 first (level 2), then v1
-    assert seen_at_insert == [(0, 3.5), (1, 0.0)]
+    assert s.activities.activity[0] == 3.5  # 2.0 * (1 + 3/4)
+    assert s.activities.activity[1] == 0.0
+    assert all(p >= 0 for p in s.activities.heap.pos)
+    assert (s.decide() >> 1) == 0
 
 
 # ---- activity bumping / decay ---------------------------------------------------
