@@ -32,12 +32,8 @@ class VarOrderHeap:
     def __len__(self) -> int:
         return len(self.heap)
 
-    def __contains__(self, var: int) -> bool:
-        return self.pos[var] >= 0
-
     def _sift_up(self, i: int) -> None:
-        """Move the variable at slot i toward the root, shifting the
-        parents it ranks above down one level (a hole, not swaps)."""
+        """Move slot i's variable up, shifting lower-ranked parents down."""
         h, pos, act = self.heap, self.pos, self.activity
         var = h[i]
         a = act[var]
@@ -54,8 +50,7 @@ class VarOrderHeap:
         pos[var] = i
 
     def _sift_down(self, i: int) -> None:
-        """Move the variable at slot i toward the leaves, shifting the
-        better child up one level while it ranks above that variable."""
+        """Move slot i's variable down, shifting higher-ranked children up."""
         h, pos, act = self.heap, self.pos, self.activity
         n = len(h)
         var = h[i]

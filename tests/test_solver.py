@@ -337,28 +337,30 @@ def test_backtrack_to_zero_clears_everything_above():
     assert len(s.activities.heap) == 4
 
 
-@pytest.mark.parametrize("opened_by", ["decide", "force_decision"])
-def test_backtrack_glue_bump_lands_before_next_decision(opened_by):
-    s = Solver(Formula(3, []), SolverConfig(glue_bump=True))
-    if opened_by == "decide":
-        s.decide()  # v0 at level 1, popped from the heap
-        s.decide()  # v1 at level 2, popped from the heap
-    else:
-        force_decision(s, 2)  # v1 at level 1, left in the heap
-        force_decision(s, 1)  # v0 at level 2, left in the heap
-    s.glue.glue_level[0] = 3
-    s.glue.glue_level[1] = 1
-    s.glue.total_glue_level = 4
-    s.glue.glue_var_count = 2
-    s.activities.bump(0, 2.0)
-    # x3 ranks above x1's activity before the bump, below it after
-    s.activities.bump(2, 3.0)
+def test_backtrack_hook_order_bump_before_reinsert():
+    # the glue bump must land before the next decision, whether backtrack
+    # unassigns variables decide() popped or ones still in the lazy heap
+    for opened_by in ("decide", "force_decision"):
+        s = Solver(Formula(3, []), SolverConfig(glue_bump=True))
+        if opened_by == "decide":
+            s.decide()  # v0 at level 1, popped from the heap
+            s.decide()  # v1 at level 2, popped from the heap
+        else:
+            force_decision(s, 2)  # v1 at level 1, left in the heap
+            force_decision(s, 1)  # v0 at level 2, left in the heap
+        s.glue.glue_level[0] = 3
+        s.glue.glue_level[1] = 1
+        s.glue.total_glue_level = 4
+        s.glue.glue_var_count = 2
+        s.activities.bump(0, 2.0)
+        # v2 ranks above v0 before v0's glue bump, below it after
+        s.activities.bump(2, 3.0)
 
-    s.backtrack(0)
-    assert s.activities.activity[0] == 3.5  # 2.0 * (1 + 3/4)
-    assert s.activities.activity[1] == 0.0
-    assert all(p >= 0 for p in s.activities.heap.pos)
-    assert (s.decide() >> 1) == 0
+        s.backtrack(0)
+        assert s.activities.activity[0] == 3.5, opened_by  # 2.0 * (1 + 3/4)
+        assert s.activities.activity[1] == 0.0, opened_by
+        assert all(p >= 0 for p in s.activities.heap.pos), opened_by
+        assert (s.decide() >> 1) == 0, opened_by
 
 
 # ---- activity bumping / decay ---------------------------------------------------
