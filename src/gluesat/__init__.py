@@ -14,14 +14,13 @@ from .formula import (
     DimacsError,
     Formula,
     lit_from_int,
-    lit_neg,
     lit_to_int,
     lit_var,
     normalize_clause,
     parse_dimacs,
     to_dimacs,
 )
-from .glue import CentralityUndefinedError, GlueTracker
+from .glue import GlueTracker
 from .metrics import MetricsCollector, MetricsReport, finalize_report
 from .proof import ProofEvent, ProofWriter, check_rup, parse_drat
 from .solver import (
@@ -32,7 +31,6 @@ from .solver import (
     Verdict,
     compute_lbd,
     luby,
-    solve,
 )
 
 __version__ = "0.1.0"
@@ -42,13 +40,11 @@ __all__ = [
     "DimacsError",
     "Formula",
     "lit_from_int",
-    "lit_neg",
     "lit_to_int",
     "lit_var",
     "normalize_clause",
     "parse_dimacs",
     "to_dimacs",
-    "CentralityUndefinedError",
     "GlueTracker",
     "MetricsCollector",
     "MetricsReport",
@@ -64,5 +60,4 @@ __all__ = [
     "Verdict",
     "compute_lbd",
     "luby",
-    "solve",
 ]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .cli import positive_seconds
 from .formula import parse_dimacs
 from .metrics import STATS_CSV_HEADER, MetricsReport
 from .solver import Solver, SolverConfig
@@ -85,12 +86,10 @@ class CorpusResult:
     series: list[tuple[float, int]]
 
 
-def default_configs(
-    seed: int = 0, max_conflicts: Optional[int] = None
-) -> dict[str, SolverConfig]:
+def default_configs(max_conflicts: Optional[int] = None) -> dict[str, SolverConfig]:
     return {
-        "baseline": SolverConfig(glue_bump=False, seed=seed, max_conflicts=max_conflicts),
-        "gb": SolverConfig(glue_bump=True, seed=seed, max_conflicts=max_conflicts),
+        "baseline": SolverConfig(glue_bump=False, max_conflicts=max_conflicts),
+        "gb": SolverConfig(glue_bump=True, max_conflicts=max_conflicts),
     }
 
 
@@ -335,13 +334,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="file listing one DIMACS instance path per line")
     ap.add_argument("--out-dir", required=True, metavar="DIR",
                     help="directory for records.csv, summary.csv, series.csv")
-    ap.add_argument("--timeout", type=float, default=60.0, metavar="S",
+    ap.add_argument("--timeout", type=positive_seconds, default=60.0, metavar="S",
                     help="per-solve wall clock budget (default 60)")
     ap.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                     help="per-solve conflict budget (deterministic runs)")
     ap.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="concurrent solver processes (default 1)")
-    ap.add_argument("--seed", type=int, default=0, metavar="N")
     ap.add_argument("--configs", default="baseline,gb", metavar="NAMES",
                     help="comma-separated subset of {baseline,gb}")
     return ap
@@ -349,7 +347,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> None:
     args = build_arg_parser().parse_args(argv)
-    all_configs = default_configs(seed=args.seed, max_conflicts=args.max_conflicts)
+    all_configs = default_configs(max_conflicts=args.max_conflicts)
     names = [n.strip() for n in args.configs.split(",") if n.strip()]
     unknown = [n for n in names if n not in all_configs]
     if unknown:
@@ -357,11 +355,16 @@ def main(argv: Optional[list[str]] = None) -> None:
         sys.exit(1)
     configs = {n: all_configs[n] for n in names}
 
-    instances = read_manifest(args.manifest)
+    # Fail on a bad manifest or output directory before any solving.
+    out_dir = Path(args.out_dir)
+    try:
+        instances = read_manifest(args.manifest)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)
     result = run_corpus(instances, configs, timeout_s=args.timeout, jobs=args.jobs)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_records_csv(out_dir / "records.csv", result.records)
     write_summary_csv(out_dir / "summary.csv", result.summaries)
     if result.series:

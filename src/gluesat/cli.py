@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+from contextlib import ExitStack
 from typing import Optional
 
 from .formula import DimacsError, parse_dimacs
@@ -21,6 +23,14 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 EXIT_ERROR = 1
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type for a wall-clock budget: finite and > 0 seconds."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text!r}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -35,12 +45,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="off",
         help="bump glue-variable activities on backtrack (default: off)",
     )
-    ap.add_argument("--timeout", type=float, default=None, metavar="S",
+    ap.add_argument("--timeout", type=positive_seconds, default=None, metavar="S",
                     help="wall-clock budget in seconds; exceeding it yields UNKNOWN")
     ap.add_argument("--max-conflicts", type=int, default=None, metavar="N",
                     help="conflict budget; exceeding it yields UNKNOWN")
-    ap.add_argument("--seed", type=int, default=0, metavar="N",
-                    help="recorded in outputs; the solver is deterministic")
     ap.add_argument("--proof", metavar="PATH", default=None,
                     help="write a DRAT proof stream to PATH")
     ap.add_argument("--stats-csv", metavar="PATH", default=None,
@@ -51,17 +59,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
         glue_bump=args.glue_bump == "on",
-        seed=args.seed,
         max_conflicts=args.max_conflicts,
         time_limit_s=args.timeout,
     )
 
 
-def write_stats_csv(path: str, instance: str, verdict: str, wall: float, report) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(STATS_CSV_HEADER)
-        w.writerow(report.csv_row(instance, verdict, wall))
+def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> None:
+    w = csv.writer(fh)
+    w.writerow(STATS_CSV_HEADER)
+    w.writerow(report.csv_row(instance, verdict, wall))
 
 
 def print_model(model: list[int], out=sys.stdout) -> None:
@@ -79,21 +85,24 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
         print(f"error: {e}", file=err)
         return EXIT_ERROR
 
-    proof_fh = None
-    proof = None
-    if args.proof:
+    with ExitStack() as stack:
+        # Open every output before solving, so a bad path costs no solve.
         try:
-            proof_fh = open(args.proof, "w")
+            proof_fh = stack.enter_context(open(args.proof, "w")) if args.proof else None
+            stats_fh = (
+                stack.enter_context(open(args.stats_csv, "w", newline=""))
+                if args.stats_csv
+                else None
+            )
         except OSError as e:
             print(f"error: {e}", file=err)
             return EXIT_ERROR
-        proof = ProofWriter(proof_fh)
-
-    try:
+        proof = ProofWriter(proof_fh) if proof_fh is not None else None
         result = Solver(formula, config_from_args(args), proof=proof).solve()
-    finally:
-        if proof_fh is not None:
-            proof_fh.close()
+        if stats_fh is not None:
+            write_stats_csv(
+                stats_fh, args.cnf, result.verdict.value, result.elapsed_s, result.report
+            )
 
     c = result.counters
     print(f"c variables {formula.num_vars} clauses {len(formula.clauses)}", file=out)
@@ -110,11 +119,6 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
     print(f"s {result.verdict.value}", file=out)
     if result.verdict is Verdict.SAT:
         print_model(result.model, out=out)
-
-    if args.stats_csv:
-        write_stats_csv(
-            args.stats_csv, args.cnf, result.verdict.value, result.elapsed_s, r
-        )
 
     if result.verdict is Verdict.SAT:
         return EXIT_SAT

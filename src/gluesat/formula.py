@@ -28,10 +28,6 @@ def lit_to_int(lit: int) -> int:
     return v if (lit & 1) == 0 else -v
 
 
-def lit_neg(lit: int) -> int:
-    return lit ^ 1
-
-
 def lit_var(lit: int) -> int:
     return lit >> 1
 

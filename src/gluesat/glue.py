@@ -21,16 +21,13 @@ from .formula import Clause, lit_var
 GLUE_LBD = 2
 
 
-class CentralityUndefinedError(ValueError):
-    """Centrality is undefined until at least one glue clause is learnt."""
-
-
 class GlueTracker:
     """Per-variable glue levels and the derived bump-on-unassign hook.
 
     Tracking is always on (the metrics module classifies decisions with
-    it); only the activity bumping is gated by `bump_enabled`. All counts
-    are cumulative over a solve and never decrease.
+    it); only the activity bumping is gated by `bump_enabled`, which the
+    solver reads before calling `on_unassigned`. All counts are
+    cumulative over a solve and never decrease.
     """
 
     def __init__(self, num_vars: int, bump_enabled: bool = True):
@@ -51,14 +48,12 @@ class GlueTracker:
     def on_glue_clause_learned(self, clause: Clause) -> None:
         """Raise the glue level of every variable in a new glue clause.
 
-        Called after the clause is learnt and attached but before the
-        asserting literal is assigned, so the levels are current by the
-        time that assignment is later undone.
+        The caller must pass only learnt clauses whose LBD passes
+        `is_glue_lbd`; the clause is not checked here. Called after the
+        clause is learnt and attached but before the asserting literal is
+        assigned, so the levels are current by the time that assignment
+        is later undone.
         """
-        if not (clause.learnt and self.is_glue_lbd(clause.lbd)):
-            raise ValueError(
-                f"not a glue clause: learnt={clause.learnt} lbd={clause.lbd}"
-            )
         for lit in clause.lits:
             v = lit_var(lit)
             if self.glue_level[v] == 0:
@@ -70,23 +65,12 @@ class GlueTracker:
     def on_unassigned(self, var: int, activities: ActivityTable) -> None:
         """Bump a glue variable freed by backtracking.
 
-        No-op for nonglue variables or when bumping is disabled.
-        Otherwise adds activity(var) * centrality(var), making the new
+        The caller must call this only when `bump_enabled` is set and
+        `var` is a glue variable (glue level > 0); neither is checked
+        here. Adds activity(var) * centrality(var), making the new
         activity equal to the old one times (1 + centrality). The
         backtrack that fires it finishes before the next decision, so
         the heap orders that decision by the bumped score.
         """
-        if not self.bump_enabled:
-            return
-        level = self.glue_level[var]
-        if level == 0:
-            return
-        centrality = level / self.total_glue_level
-        bump_factor = activities.activity[var] * centrality
-        activities.bump(var, bump_factor)
-
-    def centrality(self, var: int) -> float:
-        """This variable's share of the combined glue level, in [0, 1]."""
-        if self.total_glue_level == 0:
-            raise CentralityUndefinedError("no glue clauses learnt yet")
-        return self.glue_level[var] / self.total_glue_level
+        centrality = self.glue_level[var] / self.total_glue_level
+        activities.bump(var, activities.activity[var] * centrality)

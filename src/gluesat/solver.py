@@ -73,9 +73,6 @@ class SolverConfig:
     glue_bump: bool = False
     learnt_limit: int = 2000
     learnt_limit_growth: int = 300
-    # Recorded in outputs for reproducibility bookkeeping; the built-in
-    # heuristics are fully deterministic and consume no randomness.
-    seed: int = 0
     max_conflicts: Optional[int] = None
     time_limit_s: Optional[float] = None
 
@@ -162,11 +159,6 @@ class Solver:
             glue_clauses=self.glue.glue_clause_count,
         )
 
-    def lit_value(self, lit: int) -> int:
-        """1 if the literal is true, -1 false, 0 unassigned."""
-        v = self.values[lit >> 1]
-        return -v if (lit & 1) else v
-
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> None:
         v = lit >> 1
         self.values[v] = -1 if (lit & 1) else 1
@@ -193,7 +185,8 @@ class Solver:
         c = Clause(lits)
         self.clauses.append(c)
         if len(lits) == 1:
-            val = self.lit_value(lits[0])
+            v = self.values[lits[0] >> 1]
+            val = -v if (lits[0] & 1) else v
             if val < 0:
                 self._root_conflict = True
             elif val == 0:
@@ -492,25 +485,3 @@ class Solver:
             self.restarts,
             time.perf_counter() - t_start,
         )
-
-    # ---- consistency checks (used by the test suite) -----------------------
-
-    def watches_consistent(self) -> bool:
-        """Watched-literal invariant: every clause of length >= 2 sits in
-        the watch lists of its first two literals, and unless satisfied,
-        neither watched literal is false."""
-        for c in self.clauses + self.learnts:
-            if len(c.lits) < 2:
-                continue
-            if c not in self.watches[c.lits[0]] or c not in self.watches[c.lits[1]]:
-                return False
-            if any(self.lit_value(l) > 0 for l in c.lits):
-                continue
-            if self.lit_value(c.lits[0]) < 0 or self.lit_value(c.lits[1]) < 0:
-                return False
-        return True
-
-
-def solve(formula: Formula, config: Optional[SolverConfig] = None, proof=None) -> SolveResult:
-    """Convenience wrapper: build a Solver and run it."""
-    return Solver(formula, config, proof).solve()

@@ -13,6 +13,29 @@ from gluesat.gen import (
 from gluesat.solver import Solver
 
 
+def watches_consistent(solver: Solver) -> bool:
+    """Watched-literal invariant: every clause of length >= 2 sits in the
+    watch lists of its first two literals, and unless satisfied, neither
+    watched literal is false."""
+    values = solver.values
+
+    def value(lit):
+        v = values[lit >> 1]
+        return -v if (lit & 1) else v
+
+    for c in solver.clauses + solver.learnts:
+        if len(c.lits) < 2:
+            continue
+        w0, w1 = c.lits[0], c.lits[1]
+        if c not in solver.watches[w0] or c not in solver.watches[w1]:
+            return False
+        if any(value(l) > 0 for l in c.lits):
+            continue
+        if value(w0) < 0 or value(w1) < 0:
+            return False
+    return True
+
+
 def force_decision(solver: Solver, ext_lit: int) -> int:
     """Open a new decision level on a chosen literal (tests drive the
     trail into known shapes this way)."""
@@ -55,7 +78,7 @@ class InstrumentedSolver(Solver):
         # every assignment made inside propagate carries a reason
         self.reason_enqueues += len(self.trail) - before
         if confl is None and self.check_watches:
-            assert self.watches_consistent(), "watched-literal invariant broken"
+            assert watches_consistent(self), "watched-literal invariant broken"
         return confl
 
     def decide(self):

@@ -225,6 +225,12 @@ def first_uip_resolution(
     return sorted(clause)
 
 
+def centrality(tracker, var: int) -> float:
+    """A variable's share of the combined glue level, in [0, 1], recounted
+    from the tracker's per-variable levels rather than its running total."""
+    return tracker.glue_level[var] / sum(tracker.glue_level)
+
+
 def replay_activity_log(
     num_vars: int,
     events: list[tuple],

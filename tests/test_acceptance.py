@@ -34,6 +34,7 @@ from helpers import (
     oracle_corpus,
 )
 from oracles import (
+    centrality,
     model_satisfies,
     proof_steps_semantically_valid,
     truth_table_satisfiable,
@@ -170,7 +171,7 @@ def test_alg2_unit_semantics():
     tracker.glue_var_count = 2
     table = ActivityTable(2)
     table.activity[0] = 2.0
-    assert tracker.centrality(0) == 0.75
+    assert centrality(tracker, 0) == 0.75
     tracker.on_unassigned(0, table)
     assert table.activity[0] == 3.5  # exact
 
@@ -198,7 +199,7 @@ def test_invariant_suites(oracle_sweep):
         if tracker.total_glue_level == 0:
             continue
         total = sum(
-            tracker.centrality(v)
+            centrality(tracker, v)
             for v in range(len(tracker.glue_level))
             if tracker.glue_level[v] > 0
         )
@@ -299,7 +300,7 @@ def test_ab_harness(tmp_path):
         paths.append(str(p))
 
     timeout = 60.0
-    configs = default_configs(seed=0, max_conflicts=30_000)
+    configs = default_configs(max_conflicts=30_000)
     result = run_corpus(paths, configs, timeout_s=timeout, jobs=2)
 
     assert len(result.records) == 2 * len(paths)
@@ -317,14 +318,14 @@ def test_ab_harness(tmp_path):
 
 
 def test_determinism(tmp_path):
-    """Identical seed/config runs produce identical decision counts,
+    """Identical config runs produce identical decision counts,
     verdicts, and stats CSV rows (wall-time columns excluded)."""
     wall_cols = {STATS_CSV_HEADER.index("wall_time_s")}
     for gb in (False, True):
         rows = []
         for _ in range(2):
             f = random_ksat(40, 168, seed=31)
-            cfg = SolverConfig(glue_bump=gb, seed=9)
+            cfg = SolverConfig(glue_bump=gb)
             s = InstrumentedSolver(f, cfg)
             result = s.solve()
             buf = io.StringIO()

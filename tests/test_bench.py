@@ -135,7 +135,7 @@ def small_corpus(tmp_path_factory):
 
 
 def test_run_corpus_end_to_end(small_corpus, tmp_path):
-    configs = default_configs(seed=0, max_conflicts=50_000)
+    configs = default_configs(max_conflicts=50_000)
     result = run_corpus(small_corpus, configs, timeout_s=60.0, jobs=2)
     assert len(result.records) == len(small_corpus) * 2
     assert all(r.solved for r in result.records)
@@ -180,7 +180,7 @@ def test_run_corpus_missing_file_is_error_record(small_corpus, tmp_path):
 
 
 def test_run_corpus_deterministic_modulo_wall_time(small_corpus, tmp_path):
-    configs = default_configs(seed=1, max_conflicts=50_000)
+    configs = default_configs(max_conflicts=50_000)
     rows = []
     for run_idx in range(2):
         result = run_corpus(small_corpus, configs, timeout_s=60.0, jobs=1)
@@ -236,3 +236,40 @@ def test_hard_timeout_kills_runaway(tmp_path):
     (r,) = result.records
     assert r.verdict == "UNKNOWN"
     assert r.wall_time_s >= 0.5
+
+
+@pytest.fixture
+def no_solving(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("run_corpus called despite a bad argument")
+
+    monkeypatch.setattr("gluesat.bench.run_corpus", fail)
+
+
+def test_bench_main_out_dir_under_file_fails_before_solving(
+    small_corpus, tmp_path, capsys, no_solving
+):
+    man = tmp_path / "manifest.txt"
+    man.write_text("\n".join(small_corpus))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(blocker / "results")])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_main_missing_manifest_fails_before_solving(tmp_path, capsys, no_solving):
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_bench_main_rejects_nonfinite_or_nonpositive_timeout(tmp_path, timeout, no_solving):
+    man = tmp_path / "manifest.txt"
+    man.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), "--timeout", timeout])
+    assert exc.value.code == 2

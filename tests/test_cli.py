@@ -1,6 +1,8 @@
 import csv
 import io
 
+import pytest
+
 from gluesat.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, run_single
 from gluesat.formula import to_dimacs
 from gluesat.gen import pigeonhole, random_ksat
@@ -89,7 +91,7 @@ def test_proof_output_checks(tmp_path):
 def test_stats_csv_output(tmp_path):
     path = write_cnf(tmp_path, "x.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
     stats_path = tmp_path / "stats.csv"
-    code, _, _ = run([path, "--stats-csv", str(stats_path), "--seed", "3"])
+    code, _, _ = run([path, "--stats-csv", str(stats_path)])
     assert code == EXIT_SAT
     with open(stats_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -97,3 +99,19 @@ def test_stats_csv_output(tmp_path):
     assert rows[1][0] == path
     assert rows[1][1] == "SATISFIABLE"
     assert len(rows) == 2
+
+
+def test_bad_stats_csv_path_fails_before_solving(tmp_path):
+    path = write_cnf(tmp_path, "x.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+    code, out, err = run([path, "--stats-csv", str(tmp_path / "nodir" / "x.csv")])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_timeout_must_be_finite_and_positive(tmp_path, timeout):
+    path = write_cnf(tmp_path, "x.cnf", "p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run([path, "--timeout", timeout])
+    assert exc.value.code == 2

@@ -8,7 +8,6 @@ from gluesat.formula import (
     DimacsError,
     Formula,
     lit_from_int,
-    lit_neg,
     lit_to_int,
     lit_var,
     normalize_clause,
@@ -30,7 +29,7 @@ def test_literal_codec():
     for ext in [1, -1, 2, -2, 17, -17]:
         code = lit_from_int(ext)
         assert lit_to_int(code) == ext
-        assert lit_neg(code) == lit_from_int(-ext)
+        assert code ^ 1 == lit_from_int(-ext)
         assert lit_var(code) == abs(ext) - 1
 
 

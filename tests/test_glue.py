@@ -2,15 +2,13 @@ import math
 import random
 from dataclasses import replace
 
-import pytest
-
 from gluesat.activity import ActivityTable
-from gluesat.formula import Clause, lit_from_int
+from gluesat.formula import Clause, Formula, lit_from_int
 from gluesat.gen import pigeonhole, random_ksat
-from gluesat.glue import CentralityUndefinedError, GlueTracker
+from gluesat.glue import GlueTracker
 from gluesat.solver import Solver, SolverConfig, Verdict
-from helpers import InstrumentedSolver, attach_activity_log, oracle_corpus
-from oracles import replay_activity_log
+from helpers import InstrumentedSolver, attach_activity_log, force_decision, oracle_corpus
+from oracles import centrality, replay_activity_log
 
 
 def glue_clause(ext_lits):
@@ -47,18 +45,10 @@ def test_duplicate_clause_still_counts():
     assert t.glue_clause_count == 2
 
 
-def test_non_glue_clause_rejected():
+def test_only_lbd_two_is_glue():
     t = GlueTracker(3)
     assert t.is_glue_lbd(2)
     assert not any(t.is_glue_lbd(lbd) for lbd in (1, 3, 4))
-    with pytest.raises(ValueError, match="not a glue clause"):
-        t.on_glue_clause_learned(Clause([0, 2], learnt=True, lbd=3))
-    with pytest.raises(ValueError, match="not a glue clause"):
-        t.on_glue_clause_learned(Clause([0, 2, 4], learnt=True, lbd=3))
-    with pytest.raises(ValueError, match="not a glue clause"):
-        t.on_glue_clause_learned(Clause([0], learnt=True, lbd=1))
-    with pytest.raises(ValueError, match="not a glue clause"):
-        t.on_glue_clause_learned(Clause([0, 2], learnt=False, lbd=2))
 
 
 def test_levels_match_occurrence_recount_over_random_sequence():
@@ -106,19 +96,17 @@ def test_bump_zero_activity_is_identity():
 
 
 def test_bump_skips_nonglue_and_disabled():
-    t = GlueTracker(2)
-    t.glue_level = [2, 0]
-    t.total_glue_level = 2
-    table = ActivityTable(2)
-    table.activity[0] = 1.0
-    table.activity[1] = 1.0
-    t.on_unassigned(1, table)  # nonglue variable
-    assert table.activity[1] == 1.0
-    off = GlueTracker(2, bump_enabled=False)
-    off.glue_level = [2, 0]
-    off.total_glue_level = 2
-    off.on_unassigned(0, table)
-    assert table.activity[0] == 1.0
+    # backtrack bumps only glue variables, and only under GB
+    f = Formula(2, [])
+    for gb in (True, False):
+        s = Solver(f, SolverConfig(glue_bump=gb))
+        s.glue.glue_level = [2, 0]
+        s.glue.total_glue_level = 2
+        s.activities.activity[:] = [1.0, 1.0]
+        force_decision(s, 1)
+        force_decision(s, 2)
+        s.backtrack(0)
+        assert s.activities.activity == ([2.0, 1.0] if gb else [1.0, 1.0])
 
 
 def test_bump_leaves_tracker_state_unchanged():
@@ -145,15 +133,12 @@ def test_single_bump_form():
         if t.total_glue_level == 0:
             continue
         table = ActivityTable(n)
-        v = rng.randrange(n)
+        v = rng.choice([u for u in range(n) if t.glue_level[u] > 0])
         before = rng.uniform(0, 50)
         table.activity[v] = before
         t.on_unassigned(v, table)
-        if t.glue_level[v] == 0:
-            assert table.activity[v] == before
-        else:
-            gc = t.glue_level[v] / t.total_glue_level
-            assert math.isclose(table.activity[v], before * (1 + gc), rel_tol=1e-12)
+        gc = t.glue_level[v] / t.total_glue_level
+        assert math.isclose(table.activity[v], before * (1 + gc), rel_tol=1e-12)
 
 
 def test_scale_equivariance_of_bump():
@@ -188,21 +173,15 @@ def test_centrality_sole_variable():
     t2 = GlueTracker(1)
     t2.glue_level = [1]
     t2.total_glue_level = 1
-    assert t2.centrality(0) == 1.0
+    assert centrality(t2, 0) == 1.0
 
 
 def test_centrality_shares():
     t = GlueTracker(2)
     t.glue_level = [3, 1]
     t.total_glue_level = 4
-    assert t.centrality(0) == 0.75
-    assert t.centrality(1) == 0.25
-
-
-def test_centrality_undefined_without_glue_clauses():
-    t = GlueTracker(2)
-    with pytest.raises(CentralityUndefinedError):
-        t.centrality(0)
+    assert centrality(t, 0) == 0.75
+    assert centrality(t, 1) == 0.25
 
 
 def test_centrality_normalizes_to_one():
@@ -214,7 +193,7 @@ def test_centrality_normalizes_to_one():
         t.total_glue_level = sum(t.glue_level)
         if t.total_glue_level == 0:
             continue
-        total = sum(t.centrality(v) for v in range(n) if t.glue_level[v] > 0)
+        total = sum(centrality(t, v) for v in range(n) if t.glue_level[v] > 0)
         assert abs(total - 1.0) <= 1e-12
 
 

@@ -196,7 +196,7 @@ def test_report_rows_are_byte_identical_across_runs():
     f = pigeonhole(4)
     rows = []
     for _ in range(2):
-        r = Solver(f, SolverConfig(glue_bump=True, seed=7)).solve()
+        r = Solver(f, SolverConfig(glue_bump=True)).solve()
         buf = io.StringIO()
         csv.writer(buf).writerow(r.report.csv_row("php", r.verdict.value, 0.0))
         rows.append(buf.getvalue())

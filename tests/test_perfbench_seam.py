@@ -1,0 +1,73 @@
+"""The gluesat names that perfbench/ reaches, exercised in tier-1.
+
+perfbench subclasses the solver and wraps its heap and glue hooks by
+attribute name (perfbench/spans.py). A change under src/gluesat that
+drops or renames one of them fails here, not as failed operations in a
+benchmark run.
+"""
+
+import io
+import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from gluesat.gen import pigeonhole
+from gluesat.proof import check_rup
+from gluesat.solver import Verdict
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import spans
+        import worker
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    return SimpleNamespace(spans=spans, worker=worker, workloads=workloads)
+
+
+@pytest.mark.parametrize("config", ["baseline", "gb"])
+def test_traced_solve_on_php(perfbench, config):
+    spans = perfbench.spans
+    formula = pigeonhole(4)  # PHP(5,4)
+    rec = spans.SpanRecorder()
+    sink = io.StringIO()
+    writer = spans.TimedProofWriter(sink, rec)
+    solver = spans.TimedSolver(
+        formula, perfbench.worker.solver_config(config), proof=writer, rec=rec
+    )
+    counts = spans.attach_counters(solver)
+    result = solver.solve()
+
+    assert result.verdict is Verdict.UNSAT
+    fp, c = solver.fingerprint(), result.counters
+    assert (fp["decisions"], fp["propagations"], fp["conflicts"]) == (
+        c.decisions, c.propagations, c.conflicts
+    )
+    assert check_rup(formula, sink.getvalue())
+    assert writer.lemmas > 0
+    assert rec.total(rec.trace_id, "solver.propagate") > 0
+    assert counts["heap_inserts"] > 0 and counts["heap_updates"] > 0
+    assert (counts["bumps"] > 0) == (config == "gb")
+
+
+def test_relabel_round_trips(perfbench):
+    formula = pigeonhole(4)
+    relabelled = perfbench.workloads.relabel(formula, random.Random(3))
+    # relabel's first draw from its rng is the variable permutation
+    perm = list(range(1, formula.num_vars + 1))
+    random.Random(3).shuffle(perm)
+    inverse = {new: old for old, new in enumerate(perm, start=1)}
+    restored = [
+        sorted(inverse[abs(x)] * (1 if x > 0 else -1) for x in c.to_ints())
+        for c in relabelled.clauses
+    ]
+    assert relabelled.num_vars == formula.num_vars
+    assert sorted(restored) == sorted(sorted(c.to_ints()) for c in formula.clauses)

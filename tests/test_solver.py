@@ -11,9 +11,8 @@ from gluesat.solver import (
     Verdict,
     compute_lbd,
     luby,
-    solve,
 )
-from helpers import InstrumentedSolver, force_decision, oracle_corpus
+from helpers import InstrumentedSolver, force_decision, oracle_corpus, watches_consistent
 from oracles import (
     first_uip_resolution,
     luby_sequence,
@@ -28,13 +27,13 @@ from oracles import (
 
 def test_solve_contradictory_units_unsat():
     f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
-    r = solve(f)
+    r = Solver(f).solve()
     assert r.verdict is Verdict.UNSAT
 
 
 def test_solve_simple_sat():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n")
-    r = solve(f)
+    r = Solver(f).solve()
     assert r.verdict is Verdict.SAT
     assert model_satisfies(f, r.model)
 
@@ -42,30 +41,30 @@ def test_solve_simple_sat():
 def test_solve_pigeonhole_php43_unsat():
     f = pigeonhole(3)
     assert truth_table_satisfiable(f) is False  # brute force over 2^12
-    assert solve(f).verdict is Verdict.UNSAT
+    assert Solver(f).solve().verdict is Verdict.UNSAT
 
 
 def test_solve_empty_clause_input():
     f = parse_dimacs("p cnf 2 1\n0\n")
-    assert solve(f).verdict is Verdict.UNSAT
+    assert Solver(f).solve().verdict is Verdict.UNSAT
 
 
 def test_solve_empty_formula():
-    r = solve(Formula(0, []))
+    r = Solver(Formula(0, [])).solve()
     assert r.verdict is Verdict.SAT
     assert r.model == []
 
 
 def test_unconstrained_variables_get_default_phase():
     f = parse_dimacs("p cnf 3 1\n1 0")
-    r = solve(f)
+    r = Solver(f).solve()
     assert r.verdict is Verdict.SAT
     assert r.model == [1, -2, -3]  # defaults are false
 
 
 def test_conflict_budget_gives_unknown():
     f = pigeonhole(5)
-    r = solve(f, SolverConfig(max_conflicts=5))
+    r = Solver(f, SolverConfig(max_conflicts=5)).solve()
     assert r.verdict is Verdict.UNKNOWN
     assert r.counters.conflicts == 5
 
@@ -482,8 +481,8 @@ def test_reduce_db_never_deletes_lbd2_in_real_runs():
 def test_verdicts_stable_with_and_without_reduction():
     for seed in range(6):
         f = random_ksat(25, 107, seed=seed + 40)
-        with_reduce = solve(f, SolverConfig(learnt_limit=20, learnt_limit_growth=5))
-        without = solve(f, SolverConfig(learnt_limit=10**9))
+        with_reduce = Solver(f, SolverConfig(learnt_limit=20, learnt_limit_growth=5)).solve()
+        without = Solver(f, SolverConfig(learnt_limit=10**9)).solve()
         assert with_reduce.verdict == without.verdict
         assert with_reduce.verdict in (Verdict.SAT, Verdict.UNSAT)
 
@@ -522,6 +521,15 @@ def test_watch_and_asserting_invariants_on_mixed_runs():
         s = InstrumentedSolver(f, SolverConfig(glue_bump=bool(seed % 2)))
         r = s.solve()
         assert r.verdict in (Verdict.SAT, Verdict.UNSAT)
+
+
+def test_watches_consistent_detects_a_missing_watch():
+    # the oracle the InstrumentedSolver audit rests on can fail
+    s = Solver(random_ksat(10, 40, seed=1))
+    assert watches_consistent(s)
+    c = s.clauses[0]
+    s.watches[c.lits[1]].remove(c)
+    assert not watches_consistent(s)
 
 
 def test_counter_consistency():
@@ -570,7 +578,7 @@ def test_oracle_equivalence_sample():
     # small slice here; the full >=500-instance sweep runs in acceptance
     for name, f in oracle_corpus()[:40]:
         expected = truth_table_satisfiable(f)
-        r = solve(f)
+        r = Solver(f).solve()
         assert r.verdict is (Verdict.SAT if expected else Verdict.UNSAT), name
         if expected:
             assert model_satisfies(f, r.model), name
@@ -578,7 +586,7 @@ def test_oracle_equivalence_sample():
 
 def test_determinism_same_config_same_run():
     f = random_ksat(30, 128, seed=12)
-    cfg = SolverConfig(glue_bump=True, seed=5)
+    cfg = SolverConfig(glue_bump=True)
     a = InstrumentedSolver(f, cfg)
     ra = a.solve()
     b = InstrumentedSolver(f, cfg)
@@ -590,14 +598,14 @@ def test_determinism_same_config_same_run():
 
 def test_time_budget_unknown():
     f = pigeonhole(7)
-    r = solve(f, SolverConfig(time_limit_s=0.05))
+    r = Solver(f, SolverConfig(time_limit_s=0.05)).solve()
     assert r.verdict is Verdict.UNKNOWN
     assert r.elapsed_s >= 0.05
 
 
 def test_time_budget_bounds_a_conflict_free_run():
     # 60,000 decisions and not one conflict: the budget must still stop it
-    r = solve(Formula(60_000, []), SolverConfig(time_limit_s=0.05))
+    r = Solver(Formula(60_000, []), SolverConfig(time_limit_s=0.05)).solve()
     assert r.verdict is Verdict.UNKNOWN
     assert r.counters.conflicts == 0
     assert 0.05 <= r.elapsed_s < 0.5
