@@ -3,10 +3,12 @@
 Each (instance, config) pair solves in its own worker process under a
 wall-clock timeout; the solver also sees the timeout so it can give up
 cleanly between propagation rounds, and a hard kill at timeout plus a
-grace period catches runaways. Unsolved instances score twice the
-timeout (PAR-2, reported as a sum over instances). A cumulative series of
-solved(gb, <=t) - solved(baseline, <=t) over a time grid supports
-solve-time difference plots.
+grace period catches runaways. The harness blocks on the running
+workers' result pipes until one turns readable (a result, or EOF from a
+worker that died) or the earliest kill deadline passes. Unsolved
+instances score twice the timeout (PAR-2, reported as a sum over
+instances). A cumulative series of solved(gb, <=t) - solved(baseline,
+<=t) over a time grid supports solve-time difference plots.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import warnings
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cli import positive_seconds
+from .cli import positive_count, positive_seconds
 from .formula import parse_dimacs
 from .metrics import STATS_CSV_HEADER, MetricsReport
 from .solver import Solver, SolverConfig
@@ -148,8 +151,8 @@ def run_corpus(
     pending = deque(
         (str(inst), name) for inst in instances for name in sorted(configs)
     )
-    running: list[tuple] = []
-    ctx = mp.get_context()
+    running: dict = {}  # result pipe -> (process, instance, config, spawn time)
+    kill_after = timeout_s + grace_s
 
     while pending or running:
         while pending and len(running) < max(1, jobs):
@@ -161,63 +164,38 @@ def run_corpus(
                 )
                 continue
             cfg = replace(configs[name], time_limit_s=timeout_s)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_solve_worker, args=(child_conn, inst, cfg))
+            conn, child_conn = mp.Pipe(duplex=False)
+            proc = mp.Process(target=_solve_worker, args=(child_conn, inst, cfg))
             proc.start()
             child_conn.close()
-            running.append((proc, parent_conn, inst, name, time.monotonic()))
+            running[conn] = (proc, inst, name, time.monotonic())
+        if not running:
+            continue
 
-        progressed = False
-        still: list[tuple] = []
-        for item in running:
-            proc, conn, inst, name, start = item
-            # Sample liveness before polling: a worker that exits between
-            # the two calls has its message in the pipe by then.
-            alive = proc.is_alive()
-            if conn.poll():
+        # A pipe turns readable when its worker sends a result or exits.
+        first_kill = min(start for *_, start in running.values()) + kill_after
+        ready = wait(list(running), timeout=max(0.0, first_kill - time.monotonic()))
+        now = time.monotonic()
+        for conn, (proc, inst, name, start) in list(running.items()):
+            if conn in ready:
                 try:
                     msg = conn.recv()
-                except EOFError:
+                except EOFError:  # the worker exited without a result
                     msg = {"verdict": "ERROR", "wall": 0.0, "error": "worker pipe closed"}
-                proc.join()
-                records.append(
-                    RunRecord(
-                        inst,
-                        name,
-                        msg["verdict"],
-                        msg["wall"],
-                        timeout_s,
-                        msg.get("report"),
-                        msg.get("error", ""),
-                    )
-                )
-            elif not alive:
-                proc.join()
-                records.append(
-                    RunRecord(inst, name, "ERROR", 0.0, timeout_s, None, "worker died")
-                )
-            elif time.monotonic() - start > timeout_s + grace_s:
+            elif now - start >= kill_after:
                 proc.terminate()
-                proc.join()
-                records.append(
-                    RunRecord(
-                        inst,
-                        name,
-                        "UNKNOWN",
-                        time.monotonic() - start,
-                        timeout_s,
-                        None,
-                        "hard timeout",
-                    )
-                )
+                msg = {"verdict": "UNKNOWN", "wall": now - start, "error": "hard timeout"}
             else:
-                still.append(item)
                 continue
+            proc.join()
             conn.close()
-            progressed = True
-        running = still
-        if running and not progressed:
-            time.sleep(0.005)
+            del running[conn]
+            records.append(
+                RunRecord(
+                    inst, name, msg["verdict"], msg["wall"], timeout_s,
+                    msg.get("report"), msg.get("error", ""),
+                )
+            )
 
     records.sort(key=lambda r: (r.instance, r.config))
     _check_verdict_agreement(records)
@@ -336,9 +314,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="directory for records.csv, summary.csv, series.csv")
     ap.add_argument("--timeout", type=positive_seconds, default=60.0, metavar="S",
                     help="per-solve wall clock budget (default 60)")
-    ap.add_argument("--max-conflicts", type=int, default=None, metavar="N",
+    ap.add_argument("--max-conflicts", type=positive_count, default=None, metavar="N",
                     help="per-solve conflict budget (deterministic runs)")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+    ap.add_argument("--jobs", type=positive_count, default=1, metavar="N",
                     help="concurrent solver processes (default 1)")
     ap.add_argument("--configs", default="baseline,gb", metavar="NAMES",
                     help="comma-separated subset of {baseline,gb}")
@@ -349,6 +327,9 @@ def main(argv: Optional[list[str]] = None) -> None:
     args = build_arg_parser().parse_args(argv)
     all_configs = default_configs(max_conflicts=args.max_conflicts)
     names = [n.strip() for n in args.configs.split(",") if n.strip()]
+    if not names:
+        print("error: no configs", file=sys.stderr)
+        sys.exit(1)
     unknown = [n for n in names if n not in all_configs]
     if unknown:
         print(f"error: unknown configs {unknown}", file=sys.stderr)

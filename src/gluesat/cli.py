@@ -33,6 +33,14 @@ def positive_seconds(text: str) -> float:
     return value
 
 
+def positive_count(text: str) -> int:
+    """argparse type for a count budget: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gluesat",
@@ -47,12 +55,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--timeout", type=positive_seconds, default=None, metavar="S",
                     help="wall-clock budget in seconds; exceeding it yields UNKNOWN")
-    ap.add_argument("--max-conflicts", type=int, default=None, metavar="N",
+    ap.add_argument("--max-conflicts", type=positive_count, default=None, metavar="N",
                     help="conflict budget; exceeding it yields UNKNOWN")
     ap.add_argument("--proof", metavar="PATH", default=None,
                     help="write a DRAT proof stream to PATH")
     ap.add_argument("--stats-csv", metavar="PATH", default=None,
-                    help="append-free per-instance statistics CSV")
+                    help="write a statistics CSV to PATH: the header plus one row")
     return ap
 
 

@@ -1,4 +1,6 @@
 import csv
+import multiprocessing as mp
+import os
 
 import pytest
 
@@ -227,8 +229,8 @@ def test_bench_main_writes_outputs(small_corpus, tmp_path, capsys):
     assert "baseline:" in printed and "gb:" in printed
 
 
-def test_hard_timeout_kills_runaway(tmp_path):
-    # a formula the solver cannot finish in the budget; keep grace tiny
+def test_solver_time_budget_gives_unknown_before_hard_kill(tmp_path):
+    # a formula the solver cannot finish in the budget; it stops on its own
     hard = tmp_path / "hard.cnf"
     hard.write_text(to_dimacs(pigeonhole(9)))
     configs = {"baseline": default_configs()["baseline"]}
@@ -236,6 +238,29 @@ def test_hard_timeout_kills_runaway(tmp_path):
     (r,) = result.records
     assert r.verdict == "UNKNOWN"
     assert r.wall_time_s >= 0.5
+    assert r.error == ""
+
+
+def test_hard_timeout_kills_worker_stuck_in_parsing(tmp_path):
+    # parsing alone (~1 s) outlasts timeout + grace, so only the kill ends it
+    big = tmp_path / "big.cnf"
+    big.write_text(to_dimacs(unit_chain(200_000)))
+    configs = {"baseline": default_configs()["baseline"]}
+    result = run_corpus([str(big)], configs, timeout_s=0.1, jobs=1, grace_s=0.1)
+    (r,) = result.records
+    assert (r.verdict, r.error) == ("UNKNOWN", "hard timeout")
+    assert r.wall_time_s >= 0.2
+
+
+@pytest.mark.skipif(
+    mp.get_start_method() != "fork", reason="the patched worker reaches children only by fork"
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_exit_without_result_is_error_record(small_corpus, monkeypatch, jobs):
+    monkeypatch.setattr("gluesat.bench._solve_worker", lambda *args: os._exit(3))
+    result = run_corpus(small_corpus[:2], default_configs(), timeout_s=10.0, jobs=jobs)
+    assert len(result.records) == 4
+    assert {(r.verdict, r.error) for r in result.records} == {("ERROR", "worker pipe closed")}
 
 
 @pytest.fixture
@@ -273,3 +298,25 @@ def test_bench_main_rejects_nonfinite_or_nonpositive_timeout(tmp_path, timeout, 
     with pytest.raises(SystemExit) as exc:
         bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), "--timeout", timeout])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-conflicts", "0"), ("--max-conflicts", "-3"), ("--jobs", "0"), ("--jobs", "-2")],
+)
+def test_bench_main_rejects_nonpositive_counts(tmp_path, flag, value, no_solving):
+    man = tmp_path / "manifest.txt"
+    man.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), flag, value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("configs", [",", ""])
+def test_bench_main_no_configs_fails_before_solving(tmp_path, capsys, configs, no_solving):
+    man = tmp_path / "manifest.txt"
+    man.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), "--configs", configs])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: no configs\n"

@@ -115,3 +115,11 @@ def test_timeout_must_be_finite_and_positive(tmp_path, timeout):
     with pytest.raises(SystemExit) as exc:
         run([path, "--timeout", timeout])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("max_conflicts", ["0", "-3"])
+def test_max_conflicts_must_be_positive(tmp_path, max_conflicts):
+    path = write_cnf(tmp_path, "x.cnf", "p cnf 1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run([path, "--max-conflicts", max_conflicts])
+    assert exc.value.code == 2
