@@ -32,6 +32,13 @@ CASES = {
         lambda: random_ksat(100, 426, seed=2),
         {"max_conflicts": 400, "learnt_limit": 100, "learnt_limit_growth": 50},
     ),
+    # the scale of the rand3-par2 benchmark: n=150 at ratio 7 (UNSAT), and
+    # n=150 capped with four reduce_db rounds over ~10-literal learnts
+    "rand150_r7": (lambda: random_ksat(150, 1050, seed=1), {}),
+    "rand150_capped": (
+        lambda: random_ksat(150, 639, seed=2),
+        {"max_conflicts": 600, "learnt_limit": 100, "learnt_limit_growth": 50},
+    ),
 }
 
 # (case, config) -> (verdict, decision sha1, decisions, propagations,
@@ -45,6 +52,10 @@ PINNED = {
     ("parity12", "gb"): ("UNSATISFIABLE", "48d16011c54d4c9a751f7856ba24d9b25483d2b2", 120, 650, 86, 39, 0, "201a2fdb323aee6854ab85d042b3bf09e08cba50", "1315caa1b9408e69500d875364382046fa95941e"),
     ("rand100_capped", "baseline"): ("UNKNOWN", "263e8dc39f6708312425144c0d09a71f78e38b24", 483, 11392, 400, 16, 3, "50d183f8d474e294adbb0c3cf0183d0a1bdb7d1f", "39ad3ea02ed8808db13d663b461414e9f7eb6e3d"),
     ("rand100_capped", "gb"): ("UNKNOWN", "d8ad4f9ea0e9a8563d5ed964797bf3d1984ef4b2", 503, 11600, 400, 14, 3, "b50b6bbf3283e7ad70fed808522a6ed3de96e176", "94bd00219514366bc4215bfb2bb7066da4274308"),
+    ("rand150_r7", "baseline"): ("UNSATISFIABLE", "3507ce01aaa7d72ed4fc51e897f9a034b9490666", 427, 12091, 359, 38, 2, "b80af5719906034ddf8bfd8eead6cbc6bfe20f5d", "cd926c64105c194194ff9d3025dddc7f6576c0de"),
+    ("rand150_r7", "gb"): ("UNSATISFIABLE", "269220150a43b05306b0da559ff2d16e28a18a00", 556, 15286, 462, 34, 3, "242368c9d86d3e86ec65cc4e05caf22fc1d55641", "f6c27901d155747fa9ebee40a92e94cb4257cfd0"),
+    ("rand150_capped", "baseline"): ("UNKNOWN", "aaf200bf6437915c1f05b547bf23b3df3e54fcaa", 760, 23657, 600, 16, 5, "5c2fbe4ef415a9555b5660f238af87491a878e09", "77ab77386e8d1e3361ff4730a267a624dfd73a31"),
+    ("rand150_capped", "gb"): ("UNKNOWN", "8df3b0753f2bc83e82d0541cdcf260fab90e191a", 760, 23445, 600, 12, 5, "fcd8537e0b87f05dc35b169862d752c6af6fd1a8", "4b3e7885a379f43f293fb726eb1689e8009fd88f"),
 }
 
 
