@@ -8,6 +8,12 @@ tracker and collector objects the solver owns; the search totals are
 summed from the collector's per-class buckets. A DRAT proof writer can
 be attached to log every learnt clause and deletion.
 
+Assignments live in one array indexed by literal code (`value[lit]`, as
+CaDiCaL's `vals`): assigning a literal sets it to 1 and its negation
+`lit ^ 1` to -1, and unassigning clears both, so the hot loops read a
+literal's truth value without decoding its sign. Levels, reasons and
+phases stay indexed by variable.
+
 Determinism: for a fixed formula and config the run is bit-reproducible.
 Ties in branching go to the lowest variable index, the default phase is
 False, and the wall-clock budget is checked before every propagation
@@ -48,17 +54,17 @@ def luby(i: int) -> int:
     return luby(i - (1 << (k - 1)) + 1)
 
 
-def compute_lbd(lits: Iterable[int], levels: Sequence[int], values: Sequence[int]) -> int:
+def compute_lbd(lits: Iterable[int], levels: Sequence[int], value: Sequence[int]) -> int:
     """Count the distinct decision levels among a clause's literals.
 
-    Every literal must be assigned; raises ValueError otherwise.
+    `levels` is indexed by variable and `value` by literal code. Every
+    literal must be assigned; raises ValueError otherwise.
     """
     distinct = set()
     for lit in lits:
-        v = lit >> 1
-        if values[v] == 0:
+        if value[lit] == 0:
             raise ValueError(f"literal {lit_to_int(lit)} is unassigned")
-        distinct.add(levels[v])
+        distinct.add(levels[lit >> 1])
     return len(distinct)
 
 
@@ -119,7 +125,8 @@ class Solver:
         self.metrics = MetricsCollector()
         self._solved = False
 
-        self.values = [0] * n  # 0 unassigned, 1 true, -1 false
+        # by literal code: 0 unassigned, 1 true, -1 false; value[lit ^ 1] == -value[lit]
+        self.value = [0] * (2 * n)
         self.levels = [0] * n
         self.reasons: list[Optional[Clause]] = [None] * n
         self.phases = [False] * n
@@ -160,8 +167,9 @@ class Solver:
         )
 
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> None:
+        self.value[lit] = 1
+        self.value[lit ^ 1] = -1
         v = lit >> 1
-        self.values[v] = -1 if (lit & 1) else 1
         self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.trail.append(lit)
@@ -185,8 +193,7 @@ class Solver:
         c = Clause(lits)
         self.clauses.append(c)
         if len(lits) == 1:
-            v = self.values[lits[0] >> 1]
-            val = -v if (lits[0] & 1) else v
+            val = self.value[lits[0]]
             if val < 0:
                 self._root_conflict = True
             elif val == 0:
@@ -200,56 +207,59 @@ class Solver:
         """Assign all unit consequences of the trail.
 
         Returns a conflicting clause, or None once a fixpoint is reached.
+        The watched literal that became false is kept at lits[1].
         """
-        values = self.values
+        value = self.value
         watches = self.watches
         trail = self.trail
         levels = self.levels
         reasons = self.reasons
-        bucket = self.metrics.current_bucket()
         level = len(self.trail_lim)
+        start = len(trail)
+        qhead = self.qhead
 
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            falsified = lit ^ 1
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             watch_list = watches[falsified]
             i = 0
             n = len(watch_list)
             while i < n:
                 c = watch_list[i]
                 lits = c.lits
-                if lits[0] == falsified:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                v0 = first >> 1
-                val = values[v0]
-                fv = -val if (first & 1) else val
+                if first == falsified:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = falsified
+                fv = value[first]
                 if fv > 0:
                     i += 1
                     continue
-                moved = False
                 for j in range(2, len(lits)):
                     lj = lits[j]
-                    vj = values[lj >> 1]
-                    if (-vj if (lj & 1) else vj) >= 0:
-                        lits[1], lits[j] = lj, lits[1]
+                    if value[lj] >= 0:
+                        lits[1] = lj
+                        lits[j] = falsified
                         watch_list[i] = watch_list[-1]
                         watch_list.pop()
                         n -= 1
                         watches[lj].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                if fv < 0:
-                    return c
-                values[v0] = -1 if (first & 1) else 1
-                levels[v0] = level
-                reasons[v0] = c
-                trail.append(first)
-                bucket.propagations += 1
-                i += 1
+                else:
+                    if fv < 0:
+                        self.qhead = qhead
+                        self.metrics.current_bucket().propagations += len(trail) - start
+                        return c
+                    value[first] = 1
+                    value[first ^ 1] = -1
+                    v0 = first >> 1
+                    levels[v0] = level
+                    reasons[v0] = c
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
+        self.metrics.current_bucket().propagations += len(trail) - start
         return None
 
     # ---- branching -------------------------------------------------------
@@ -263,9 +273,9 @@ class Solver:
         the way leave the lazy heap here.
         """
         heap = self.activities.heap
-        values = self.values
+        value = self.value
         v = heap.pop_max()
-        while values[v] != 0:
+        while value[2 * v] != 0:
             v = heap.pop_max()
         self.metrics.record_decision(v, self.glue.is_glue_var(v))
         self.trail_lim.append(len(self.trail))
@@ -284,7 +294,7 @@ class Solver:
         """
         assert level < self.current_level
         limit = self.trail_lim[level]
-        trail, phases, values, reasons = self.trail, self.phases, self.values, self.reasons
+        trail, phases, value, reasons = self.trail, self.phases, self.value, self.reasons
         activities = self.activities
         heap = activities.heap
         heap_pos = heap.pos
@@ -295,7 +305,8 @@ class Solver:
             lit = trail[idx]
             v = lit >> 1
             phases[v] = (lit & 1) == 0
-            values[v] = 0
+            value[lit] = 0
+            value[lit ^ 1] = 0
             reasons[v] = None
             if bump_enabled and glue_level[v] > 0:
                 glue.on_unassigned(v, activities)
@@ -316,13 +327,16 @@ class Solver:
         index 1 (the two watch slots). Bumps the activity of every
         variable met during resolution.
         """
-        current = self.current_level
+        current = len(self.trail_lim)
         levels = self.levels
+        trail = self.trail
+        reasons = self.reasons
+        bump = self.activities.bump
         seen = bytearray(self.num_vars)
         learnt: list[int] = []
         counter = 0
         p = -1  # no literal resolved on yet
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
 
         while True:
             if confl.learnt:
@@ -331,23 +345,25 @@ class Solver:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and levels[v] > 0:
-                    seen[v] = 1
-                    self.activities.bump(v)
-                    if levels[v] >= current:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[self.trail[idx] >> 1]:
+                if not seen[v]:
+                    lv = levels[v]
+                    if lv > 0:
+                        seen[v] = 1
+                        bump(v)
+                        if lv >= current:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             pv = p >> 1
             seen[pv] = 0
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            confl = self.reasons[pv]
+            confl = reasons[pv]
 
         learnt.insert(0, p ^ 1)
         if len(learnt) == 1:
@@ -359,13 +375,13 @@ class Solver:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
             assertion_level = levels[learnt[1] >> 1]
-        lbd = compute_lbd(learnt, levels, self.values)
+        lbd = compute_lbd(learnt, levels, self.value)
         return learnt, assertion_level, lbd
 
     def _attach_learnt(self, lits: list[int], lbd: int) -> Clause:
         c = Clause(list(lits), learnt=True, lbd=lbd)
+        self.learnts.append(c)  # before the bump, so a rescale it fires covers c
         self._bump_clause_activity(c)
-        self.learnts.append(c)
         if len(lits) >= 2:
             self._watch(c)
         if self.proof is not None:
@@ -460,8 +476,9 @@ class Solver:
                     self.reduce_db()
                 if len(self.trail) == self.num_vars:
                     verdict = Verdict.SAT
+                    value = self.value
                     model = [
-                        (v + 1) if self.values[v] > 0 else -(v + 1)
+                        (v + 1) if value[2 * v] > 0 else -(v + 1)
                         for v in range(self.num_vars)
                     ]
                     break

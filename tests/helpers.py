@@ -17,23 +17,43 @@ def watches_consistent(solver: Solver) -> bool:
     """Watched-literal invariant: every clause of length >= 2 sits in the
     watch lists of its first two literals, and unless satisfied, neither
     watched literal is false."""
-    values = solver.values
-
-    def value(lit):
-        v = values[lit >> 1]
-        return -v if (lit & 1) else v
-
+    value = solver.value
     for c in solver.clauses + solver.learnts:
         if len(c.lits) < 2:
             continue
         w0, w1 = c.lits[0], c.lits[1]
         if c not in solver.watches[w0] or c not in solver.watches[w1]:
             return False
-        if any(value(l) > 0 for l in c.lits):
+        if any(value[l] > 0 for l in c.lits):
             continue
-        if value(w0) < 0 or value(w1) < 0:
+        if value[w0] < 0 or value[w1] < 0:
             return False
     return True
+
+
+def assignment_consistent(solver: Solver) -> bool:
+    """Literal-indexed assignment invariant: the two literals of every
+    variable hold opposite values (both 0 when unassigned), and a
+    variable is assigned exactly when it is on the trail, with its trail
+    literal true."""
+    value = solver.value
+    if len(value) != 2 * solver.num_vars:
+        return False
+    if any(value[2 * v] != -value[2 * v + 1] for v in range(solver.num_vars)):
+        return False
+    on_trail = {lit >> 1 for lit in solver.trail}
+    if len(on_trail) != len(solver.trail) or any(value[lit] != 1 for lit in solver.trail):
+        return False
+    return all((value[2 * v] != 0) == (v in on_trail) for v in range(solver.num_vars))
+
+
+def literal_values(var_values: list[int]) -> list[int]:
+    """A literal-indexed value array (as `Solver.value`) from per-variable
+    values: x at 2v and -x at 2v + 1."""
+    out = []
+    for x in var_values:
+        out += [x, -x]
+    return out
 
 
 def force_decision(solver: Solver, ext_lit: int) -> int:
@@ -50,7 +70,8 @@ def force_decision(solver: Solver, ext_lit: int) -> int:
 class InstrumentedSolver(Solver):
     """Solver that audits its own invariants while running.
 
-    - checks the watched-literal invariant after every clean propagate()
+    - checks the watched-literal and assignment invariants after every
+      clean propagate()
     - checks that every learnt clause has exactly one literal at the
       conflict level
     - independently recounts reason-bearing assignments and
@@ -79,6 +100,7 @@ class InstrumentedSolver(Solver):
         self.reason_enqueues += len(self.trail) - before
         if confl is None and self.check_watches:
             assert watches_consistent(self), "watched-literal invariant broken"
+            assert assignment_consistent(self), "assignment array invariant broken"
         return confl
 
     def decide(self):

@@ -31,6 +31,7 @@ from helpers import (
     InstrumentedSolver,
     directional_corpus,
     known_unsat_corpus,
+    literal_values,
     oracle_corpus,
 )
 from oracles import (
@@ -253,11 +254,11 @@ def test_lbd_oracle():
     for _ in range(10_000):
         n = rng.randint(1, 40)
         levels = [rng.randint(0, 12) for _ in range(n)]
-        values = [rng.choice([1, -1]) for _ in range(n)]
+        value = literal_values([rng.choice([1, -1]) for _ in range(n)])
         size = rng.randint(1, n)
         vs = rng.sample(range(n), size)
         lits = [2 * v + rng.randint(0, 1) for v in vs]
-        assert compute_lbd(lits, levels, values) == len({levels[v] for v in vs})
+        assert compute_lbd(lits, levels, value) == len({levels[v] for v in vs})
 
 
 def test_directional_replication():

@@ -12,7 +12,14 @@ from gluesat.solver import (
     compute_lbd,
     luby,
 )
-from helpers import InstrumentedSolver, force_decision, oracle_corpus, watches_consistent
+from helpers import (
+    InstrumentedSolver,
+    assignment_consistent,
+    force_decision,
+    literal_values,
+    oracle_corpus,
+    watches_consistent,
+)
 from oracles import (
     first_uip_resolution,
     luby_sequence,
@@ -82,7 +89,7 @@ def test_second_solve_raises():
 def test_propagate_unit_clause_at_level0():
     s = Solver(Formula.from_ints(1, [[1]]))
     assert s.propagate() is None
-    assert s.values[0] == 1 and s.levels[0] == 0
+    assert s.value[0] == 1 and s.levels[0] == 0
     assert s.counters.propagations == 1
 
 
@@ -90,7 +97,7 @@ def test_propagate_implication_with_reason():
     s = Solver(Formula.from_ints(2, [[-1, 2]]))
     force_decision(s, 1)
     assert s.propagate() is None
-    assert s.values[1] == 1
+    assert s.value[2] == 1 and s.value[3] == -1
     assert s.levels[1] == 1
     assert s.reasons[1] is s.clauses[0]
 
@@ -101,7 +108,7 @@ def test_propagate_conflict_on_second_clause():
     confl = s.propagate()
     assert confl is s.clauses[1]
     # trail still reflects the propagation made before the conflict
-    assert s.values[1] == 1
+    assert s.value[2] == 1
 
 
 # ---- analyze_conflict --------------------------------------------------------
@@ -202,16 +209,19 @@ def test_first_uip_matches_resolution_oracle_randomized():
 def test_compute_lbd_examples():
     # three literals all at level 7 -> 1 block
     levels = [7, 7, 7]
-    values = [1, 1, 1]
-    assert compute_lbd([0, 2, 4], levels, values) == 1
+    value = literal_values([1, 1, 1])
+    assert compute_lbd([0, 2, 4], levels, value) == 1
     levels = [2, 5]
-    values = [1, -1]
-    assert compute_lbd([0, 2], levels, values) == 2
+    value = literal_values([1, -1])
+    assert compute_lbd([0, 2], levels, value) == 2
 
 
 def test_compute_lbd_unassigned_is_error():
     with pytest.raises(ValueError, match="unassigned"):
-        compute_lbd([0], [3], [0])
+        compute_lbd([0], [3], [0, 0])
+    # a false literal is assigned; its unassigned neighbour is not
+    with pytest.raises(ValueError, match="unassigned"):
+        compute_lbd([1, 2], [3, 4], literal_values([1, 0]))
 
 
 def test_compute_lbd_randomized_against_distinct_count():
@@ -219,12 +229,12 @@ def test_compute_lbd_randomized_against_distinct_count():
     for _ in range(2000):
         n = rng.randint(1, 30)
         levels = [rng.randint(0, 8) for _ in range(n)]
-        values = [rng.choice([1, -1]) for _ in range(n)]
+        value = literal_values([rng.choice([1, -1]) for _ in range(n)])
         lits = [2 * v + rng.randint(0, 1) for v in range(n)]
         size = rng.randint(1, n)
         chosen = rng.sample(lits, size)
         expected = len({levels[l >> 1] for l in chosen})
-        assert compute_lbd(chosen, levels, values) == expected
+        assert compute_lbd(chosen, levels, value) == expected
 
 
 # ---- decide -------------------------------------------------------------------
@@ -280,7 +290,7 @@ class ArgmaxOracleSolver(Solver):
     def decide(self):
         act = self.activities.activity
         pos = self.activities.heap.pos
-        unassigned = [v for v in range(self.num_vars) if self.values[v] == 0]
+        unassigned = [v for v in range(self.num_vars) if self.value[2 * v] == 0]
         missing = [v for v in unassigned if pos[v] < 0]
         assert not missing, f"unassigned variables out of the heap: {missing}"
         expected = max(unassigned, key=lambda v: (act[v], -v))
@@ -321,8 +331,8 @@ def test_backtrack_level_filter():
     force_decision(s, 2)
     s._enqueue(2 * 2, None)  # x3 joins level 2
     s.backtrack(1)
-    assert s.values[0] != 0  # x1 stays
-    assert s.values[1] == 0 and s.values[2] == 0
+    assert s.value[0] == 1 and s.value[1] == -1  # x1 stays
+    assert s.value[2:] == [0, 0, 0, 0]
     assert s.current_level == 1
 
 
@@ -332,7 +342,7 @@ def test_backtrack_to_zero_clears_everything_above():
         force_decision(s, ext)
     s.backtrack(0)
     assert s.current_level == 0
-    assert all(v == 0 for v in s.values)
+    assert all(x == 0 for x in s.value)
     assert len(s.activities.heap) == 4
 
 
@@ -428,6 +438,18 @@ def _fabricate_learnt(s, ext_lits, lbd, activity=0.0):
     s.learnts.append(c)
     s._watch(c)
     return c
+
+
+def test_clause_activity_rescale_covers_the_new_learnt():
+    # the new clause's own bump fires the rescale; it must be scaled with
+    # the clauses already in the database
+    s = Solver(Formula(4, []))
+    old = _fabricate_learnt(s, [1, 2], 3, activity=9e19)
+    s.cla_inc = 2e20
+    new = s._attach_learnt([2, 6], 3)
+    assert math.isclose(old.activity, 0.9)
+    assert math.isclose(s.cla_inc, 2.0)
+    assert math.isclose(new.activity, 2.0)
 
 
 def test_reduce_db_keeps_all_glue():
@@ -530,6 +552,16 @@ def test_watches_consistent_detects_a_missing_watch():
     c = s.clauses[0]
     s.watches[c.lits[1]].remove(c)
     assert not watches_consistent(s)
+
+
+def test_assignment_consistent_detects_half_an_assignment():
+    # the oracle the InstrumentedSolver audit rests on can fail
+    s = Solver(random_ksat(10, 40, seed=1))
+    force_decision(s, 3)
+    assert s.propagate() is None
+    assert assignment_consistent(s)
+    s.value[5] = 0  # clear only the false literal -x3, x3 stays true
+    assert not assignment_consistent(s)
 
 
 def test_counter_consistency():
