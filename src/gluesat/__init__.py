@@ -15,7 +15,6 @@ from .formula import (
     Formula,
     lit_from_int,
     lit_to_int,
-    lit_var,
     normalize_clause,
     parse_dimacs,
     to_dimacs,
@@ -24,7 +23,6 @@ from .glue import GlueTracker
 from .metrics import MetricsCollector, MetricsReport, finalize_report
 from .proof import ProofEvent, ProofWriter, check_rup, parse_drat
 from .solver import (
-    SearchCounters,
     SolveResult,
     Solver,
     SolverConfig,
@@ -41,7 +39,6 @@ __all__ = [
     "Formula",
     "lit_from_int",
     "lit_to_int",
-    "lit_var",
     "normalize_clause",
     "parse_dimacs",
     "to_dimacs",
@@ -53,7 +50,6 @@ __all__ = [
     "ProofWriter",
     "check_rup",
     "parse_drat",
-    "SearchCounters",
     "SolveResult",
     "Solver",
     "SolverConfig",

@@ -120,7 +120,7 @@ def _solve_worker(conn, path: str, config: SolverConfig) -> None:
             {
                 "verdict": result.verdict.value,
                 "wall": result.elapsed_s,
-                "report": result.report,
+                "report": result.counters,
             }
         )
     except Exception as e:  # report parse/IO failures as errored records
@@ -280,24 +280,6 @@ def write_series_csv(path: str | Path, series: Sequence[tuple[float, int]]) -> N
         w.writerow(SERIES_CSV_HEADER)
         for t, diff in series:
             w.writerow([repr(t), diff])
-
-
-def recompute_par2_from_csv(
-    path: str | Path, timeout_s: float
-) -> dict[str, float]:
-    """Independent PAR-2 recount from a records CSV (same row order)."""
-    out: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            cfg = row["config"]
-            if row["verdict"] == "ERROR":
-                continue
-            out.setdefault(cfg, 0.0)
-            if row["verdict"] in SOLVED_VERDICTS:
-                out[cfg] += float(row["wall_time_s"])
-            else:
-                out[cfg] += 2.0 * timeout_s
-    return out
 
 
 # ---- CLI --------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import ExitStack
 from typing import Optional
@@ -78,6 +79,19 @@ def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> Non
     w.writerow(report.csv_row(instance, verdict, wall))
 
 
+def output_clash(args: argparse.Namespace) -> Optional[str]:
+    """Why an output path would overwrite the input CNF or the other
+    output, compared after os.path.realpath; None when none would."""
+    taken = {os.path.realpath(args.cnf): "the input CNF"}
+    for flag, path in (("--proof", args.proof), ("--stats-csv", args.stats_csv)):
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                return f"{flag} {path} would overwrite {taken[real]}"
+            taken[real] = f"the {flag} output"
+    return None
+
+
 def print_model(model: list[int], out=sys.stdout) -> None:
     lits = model + [0]
     for i in range(0, len(lits), 20):
@@ -86,6 +100,10 @@ def print_model(model: list[int], out=sys.stdout) -> None:
 
 def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_arg_parser().parse_args(argv)
+    clash = output_clash(args)
+    if clash is not None:
+        print(f"error: {clash}", file=err)
+        return EXIT_ERROR
     try:
         with open(args.cnf, "rb") as fh:
             formula = parse_dimacs(fh)
@@ -109,7 +127,7 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
         result = Solver(formula, config_from_args(args), proof=proof).solve()
         if stats_fh is not None:
             write_stats_csv(
-                stats_fh, args.cnf, result.verdict.value, result.elapsed_s, result.report
+                stats_fh, args.cnf, result.verdict.value, result.elapsed_s, result.counters
             )
 
     c = result.counters
@@ -120,9 +138,8 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
         f"restarts {result.restarts}",
         file=out,
     )
-    r = result.report
-    if r.gf is not None:
-        print(f"c glue-vars {r.glue_var_count} gf {r.gf:.4f}", file=out)
+    if c.gf is not None:
+        print(f"c glue-vars {c.glue_var_count} gf {c.gf:.4f}", file=out)
     print(f"c time {result.elapsed_s:.3f} s", file=out)
     print(f"s {result.verdict.value}", file=out)
     if result.verdict is Verdict.SAT:

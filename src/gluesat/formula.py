@@ -28,10 +28,6 @@ def lit_to_int(lit: int) -> int:
     return v if (lit & 1) == 0 else -v
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
 @dataclass(eq=False, slots=True)
 class Clause:
     """A clause over internal literal codes.
@@ -48,9 +44,6 @@ class Clause:
     def to_ints(self) -> list[int]:
         return [lit_to_int(l) for l in self.lits]
 
-    def __len__(self) -> int:
-        return len(self.lits)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "L" if self.learnt else ""
         return f"Clause({self.to_ints()}{tag} lbd={self.lbd})"
@@ -60,8 +53,8 @@ class Clause:
 class Formula:
     """A parsed CNF: a variable count and a clause list.
 
-    Equality is structural over (num_vars, clause literals and flags),
-    which is what the DIMACS round-trip guarantee is stated over.
+    Equality is structural over num_vars and the clause literals, which
+    is what the DIMACS round-trip guarantee is stated over.
     """
 
     num_vars: int
@@ -70,9 +63,9 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):
             return NotImplemented
-        return self.num_vars == other.num_vars and [
-            (c.lits, c.learnt, c.lbd) for c in self.clauses
-        ] == [(c.lits, c.learnt, c.lbd) for c in other.clauses]
+        return self.num_vars == other.num_vars and [c.lits for c in self.clauses] == [
+            c.lits for c in other.clauses
+        ]
 
     @classmethod
     def from_ints(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "Formula":

@@ -16,7 +16,7 @@ factor (1 + centrality), so it commutes with global rescaling.
 from __future__ import annotations
 
 from .activity import ActivityTable
-from .formula import Clause, lit_var
+from .formula import Clause
 
 GLUE_LBD = 2
 
@@ -55,7 +55,7 @@ class GlueTracker:
         is later undone.
         """
         for lit in clause.lits:
-            v = lit_var(lit)
+            v = lit >> 1
             if self.glue_level[v] == 0:
                 self.glue_var_count += 1
             self.glue_level[v] += 1

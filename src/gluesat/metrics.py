@@ -63,6 +63,10 @@ class ClassCounters:
 
 @dataclass
 class MetricsReport:
+    """A solve's one record of totals: the search totals (decisions,
+    propagations, conflicts, glue clauses) that `Solver.counters` and
+    `SolveResult.counters` return, and the per-class metrics."""
+
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0

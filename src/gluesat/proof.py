@@ -24,28 +24,24 @@ DELETE = "delete"
 
 @dataclass
 class ProofEvent:
+    """One parsed proof line, as parse_drat returns and check_rup reads it."""
+
     kind: str  # ADD or DELETE
     lits: list[int]  # signed DIMACS literals
 
-    def to_line(self) -> str:
-        body = " ".join(str(x) for x in self.lits + [0])
-        return body if self.kind == ADD else f"d {body}"
-
 
 class ProofWriter:
-    """Serializes proof events to a text sink as they happen."""
+    """Writes text DRAT lines to a sink as the solver learns and deletes:
+    one "<lits> 0" line per addition, one "d <lits> 0" per deletion."""
 
     def __init__(self, sink: IO[str]):
         self.sink = sink
 
-    def emit(self, event: ProofEvent) -> None:
-        self.sink.write(event.to_line() + "\n")
-
     def add(self, lits: Sequence[int]) -> None:
-        self.emit(ProofEvent(ADD, list(lits)))
+        self.sink.write(" ".join(map(str, [*lits, 0])) + "\n")
 
     def delete(self, lits: Sequence[int]) -> None:
-        self.emit(ProofEvent(DELETE, list(lits)))
+        self.sink.write("d " + " ".join(map(str, [*lits, 0])) + "\n")
 
     def flush(self) -> None:
         self.sink.flush()

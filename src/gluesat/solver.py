@@ -4,9 +4,10 @@ Trail-based assignment with two watched literals per clause, first-UIP
 conflict analysis, EVSIDS branching, phase saving, Luby restarts, and
 LBD-aware clause-database reduction (clauses with LBD <= GLUE_LBD are
 kept forever). Glue tracking and per-decision-class metrics live in the
-tracker and collector objects the solver owns; the search totals are
-summed from the collector's per-class buckets. A DRAT proof writer can
-be attached to log every learnt clause and deletion.
+tracker and collector objects the solver owns; the one search-totals
+type is the MetricsReport that `finalize_report` folds from them, which
+`Solver.counters` and `SolveResult.counters` return. A DRAT proof
+writer can be attached to log every learnt clause and deletion.
 
 Assignments live in one array indexed by literal code (`value[lit]`, as
 CaDiCaL's `vals`): assigning a literal sets it to 1 and its negation
@@ -84,19 +85,10 @@ class SolverConfig:
 
 
 @dataclass
-class SearchCounters:
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    glue_clauses: int = 0
-
-
-@dataclass
 class SolveResult:
     verdict: Verdict
     model: Optional[list[int]]  # signed DIMACS literals, one per variable
-    counters: SearchCounters
-    report: MetricsReport
+    counters: MetricsReport  # search totals and per-class metrics
     restarts: int
     elapsed_s: float
 
@@ -117,7 +109,6 @@ class Solver:
         proof: Optional[ProofWriter] = None,
     ):
         self.config = config or SolverConfig()
-        self.formula = formula
         n = formula.num_vars
         self.num_vars = n
         self.proof = proof
@@ -156,14 +147,11 @@ class Solver:
         return len(self.trail_lim)
 
     @property
-    def counters(self) -> SearchCounters:
-        """The search totals, summed from the per-class metric buckets."""
-        m = self.metrics
-        return SearchCounters(
-            decisions=m.total("decisions"),
-            propagations=m.total("propagations"),
-            conflicts=m.total("conflicts"),
-            glue_clauses=self.glue.glue_clause_count,
+    def counters(self) -> MetricsReport:
+        """The search totals and per-class metrics of the search so far."""
+        glue = self.glue
+        return finalize_report(
+            self.metrics, glue.glue_clause_count, glue.glue_var_count, self.num_vars
         )
 
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> None:
@@ -491,14 +479,6 @@ class Solver:
             verdict = Verdict.UNSAT
         if self.proof is not None:
             self.proof.flush()
-        report = finalize_report(
-            self.metrics, self.glue.glue_clause_count, self.glue.glue_var_count, self.num_vars
-        )
         return SolveResult(
-            verdict,
-            model,
-            self.counters,
-            report,
-            self.restarts,
-            time.perf_counter() - t_start,
+            verdict, model, self.counters, self.restarts, time.perf_counter() - t_start
         )

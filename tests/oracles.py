@@ -3,11 +3,13 @@
 Everything here is deliberately written from first principles, sharing
 no code with the package under test: truth-table enumeration over
 bigint bitmaps, direct clause evaluation, full-scan unit propagation,
-a list-doubling Luby generator, and a resolution-based first-UIP
-calculator.
+a list-doubling Luby generator, a resolution-based first-UIP
+calculator, and a PAR-2 recount read back from a records CSV.
 """
 
 from __future__ import annotations
+
+import csv
 
 from gluesat.formula import Formula
 
@@ -159,6 +161,24 @@ def model_satisfies(formula: Formula, model: list[int]) -> bool:
         if not ok:
             return False
     return True
+
+
+def recompute_par2_from_csv(path, timeout_s: float) -> dict[str, float]:
+    """PAR-2 per config recounted from a records CSV (same row order):
+    solved rows add their wall time, UNKNOWN rows twice the timeout,
+    ERROR rows nothing."""
+    out: dict[str, float] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            cfg = row["config"]
+            if row["verdict"] == "ERROR":
+                continue
+            out.setdefault(cfg, 0.0)
+            if row["verdict"] in ("SATISFIABLE", "UNSATISFIABLE"):
+                out[cfg] += float(row["wall_time_s"])
+            else:
+                out[cfg] += 2.0 * timeout_s
+    return out
 
 
 def luby_sequence(count: int) -> list[int]:

@@ -15,12 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from gluesat.activity import ActivityTable
-from gluesat.bench import (
-    default_configs,
-    recompute_par2_from_csv,
-    run_corpus,
-    write_records_csv,
-)
+from gluesat.bench import default_configs, run_corpus, write_records_csv
 from gluesat.formula import to_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat, unit_chain
 from gluesat.glue import GlueTracker
@@ -38,6 +33,7 @@ from oracles import (
     centrality,
     model_satisfies,
     proof_steps_semantically_valid,
+    recompute_par2_from_csv,
     truth_table_satisfiable,
 )
 from test_proof import mutate_one_literal
@@ -209,7 +205,7 @@ def test_invariant_suites(oracle_sweep):
     # partition and pool fractions across the whole oracle sweep
     for e in oracle_sweep.entries:
         for label in ("baseline", "gb"):
-            rep = e.runs[label][0].report
+            rep = e.runs[label][0].counters
             assert rep.glue_decisions + rep.nonglue_decisions == rep.decisions
             assert abs(rep.gf + rep.ngf - 1.0) <= 1e-12
 
@@ -269,7 +265,7 @@ def test_directional_replication():
     for name, formula in directional_corpus():
         cfg = SolverConfig(glue_bump=False, max_conflicts=8000)
         result = Solver(formula, cfg).solve()
-        rep = result.report
+        rep = result.counters
         if rep.glue_decisions >= 100 and rep.nonglue_decisions >= 100:
             qualifying += 1
             if rep.pr_glue > rep.pr_nonglue:
@@ -331,7 +327,7 @@ def test_determinism(tmp_path):
             result = s.solve()
             buf = io.StringIO()
             csv.writer(buf).writerow(
-                result.report.csv_row("inst", result.verdict.value, result.elapsed_s)
+                result.counters.csv_row("inst", result.verdict.value, result.elapsed_s)
             )
             rows.append((result.verdict, result.counters, s.decision_lits, buf.getvalue()))
         (v1, c1, d1, row1), (v2, c2, d2, row2) = rows

@@ -11,7 +11,6 @@ from gluesat.bench import (
     main as bench_main,
     par2_summaries,
     read_manifest,
-    recompute_par2_from_csv,
     run_corpus,
     solved_diff_series,
     write_records_csv,
@@ -19,6 +18,7 @@ from gluesat.bench import (
 )
 from gluesat.formula import to_dimacs
 from gluesat.gen import pigeonhole, random_ksat, unit_chain
+from oracles import recompute_par2_from_csv
 
 
 def rec(inst, cfg, verdict, wall, timeout=5000.0):

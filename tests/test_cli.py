@@ -8,6 +8,7 @@ from gluesat.formula import to_dimacs
 from gluesat.gen import pigeonhole, random_ksat
 from gluesat.metrics import STATS_CSV_HEADER
 from gluesat.proof import check_rup
+from gluesat.solver import Solver, SolverConfig
 from oracles import model_satisfies
 
 
@@ -123,3 +124,52 @@ def test_max_conflicts_must_be_positive(tmp_path, max_conflicts):
     with pytest.raises(SystemExit) as exc:
         run([path, "--max-conflicts", max_conflicts])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--proof", "--stats-csv"])
+def test_output_onto_input_cnf_is_refused(tmp_path, flag):
+    text = "p cnf 1 2\n1 0\n-1 0\n"
+    path = write_cnf(tmp_path, "x.cnf", text)
+    (tmp_path / "sub").mkdir()
+    same = str(tmp_path / "sub" / ".." / "x.cnf")  # another spelling of the input
+    code, out, err = run([path, flag, same])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+    assert (tmp_path / "x.cnf").read_bytes() == text.encode()
+
+
+def test_proof_and_stats_csv_on_one_path_are_refused(tmp_path):
+    text = "p cnf 1 2\n1 0\n-1 0\n"
+    path = write_cnf(tmp_path, "x.cnf", text)
+    out_path = tmp_path / "out.txt"
+    code, out, err = run([path, "--proof", str(out_path), "--stats-csv", str(out_path)])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_path.exists()
+    assert (tmp_path / "x.cnf").read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "formula, expected",
+    [(random_ksat(60, 250, seed=0), EXIT_SAT), (pigeonhole(4), EXIT_UNSAT)],
+    ids=["sat", "unsat"],
+)
+def test_one_set_of_totals_at_every_output(tmp_path, formula, expected):
+    # the c line, the --stats-csv row and the in-process result agree
+    path = write_cnf(tmp_path, "x.cnf", to_dimacs(formula))
+    stats_path = tmp_path / "stats.csv"
+    code, out, _ = run([path, "--stats-csv", str(stats_path)])
+    assert code == expected
+    names = ["decisions", "propagations", "conflicts", "glue-clauses"]
+    tokens = next(l for l in out.splitlines() if l.startswith("c decisions ")).split()[1:]
+    c_line = dict(zip(tokens[::2], tokens[1::2]))
+    from_c_line = [int(c_line[n]) for n in names]
+    with open(stats_path, newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    from_csv = [int(row[n.replace("-", "_")]) for n in names]
+    c = Solver(formula, SolverConfig()).solve().counters
+    in_process = [c.decisions, c.propagations, c.conflicts, c.glue_clauses]
+    assert from_c_line == from_csv == in_process
+    assert c.glue_clauses > 0  # every compared total is nonzero

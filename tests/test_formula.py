@@ -9,7 +9,6 @@ from gluesat.formula import (
     Formula,
     lit_from_int,
     lit_to_int,
-    lit_var,
     normalize_clause,
     parse_dimacs,
     to_dimacs,
@@ -30,7 +29,7 @@ def test_literal_codec():
         code = lit_from_int(ext)
         assert lit_to_int(code) == ext
         assert code ^ 1 == lit_from_int(-ext)
-        assert lit_var(code) == abs(ext) - 1
+        assert code >> 1 == abs(ext) - 1
 
 
 def test_parse_minimal():

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 from gluesat.activity import ActivityTable
 from gluesat.formula import Clause, Formula, lit_from_int
@@ -255,8 +254,12 @@ def test_gb_off_equals_tracker_blind():
         assert blind.glue.glue_clause_count == 0
         assert r_plain.counters.glue_clauses > 0
         assert r_plain.verdict == r_blind.verdict
-        assert replace(r_plain.counters, glue_clauses=0) == replace(
-            r_blind.counters, glue_clauses=0
+        # the blinded report's glue fields differ by design; the search does not
+        c_plain, c_blind = r_plain.counters, r_blind.counters
+        assert (c_plain.decisions, c_plain.propagations, c_plain.conflicts) == (
+            c_blind.decisions,
+            c_blind.propagations,
+            c_blind.conflicts,
         )
         assert plain.decision_lits == blind.decision_lits
         assert r_plain.restarts == r_blind.restarts

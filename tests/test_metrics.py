@@ -107,7 +107,8 @@ def test_class_totals_partition_global_counters():
             m.glue.conflicts + m.nonglue.conflicts + m.preamble.conflicts
             == r.counters.conflicts
         )
-        assert r.report.glue_decisions + r.report.nonglue_decisions == r.report.decisions
+        c = r.counters
+        assert c.glue_decisions + c.nonglue_decisions == c.decisions
 
 
 # ---- finalize_report -----------------------------------------------------------
@@ -198,7 +199,7 @@ def test_report_rows_are_byte_identical_across_runs():
     for _ in range(2):
         r = Solver(f, SolverConfig(glue_bump=True)).solve()
         buf = io.StringIO()
-        csv.writer(buf).writerow(r.report.csv_row("php", r.verdict.value, 0.0))
+        csv.writer(buf).writerow(r.counters.csv_row("php", r.verdict.value, 0.0))
         rows.append(buf.getvalue())
     assert rows[0] == rows[1]
 
@@ -208,11 +209,11 @@ def test_gf_series_sampled_on_long_runs():
 
     r = Solver(pigeonhole(8), SolverConfig(max_conflicts=10_000)).solve()
     assert r.verdict is Verdict.UNKNOWN
-    assert len(r.report.gf_series) == 1
-    conflicts, gf = r.report.gf_series[0]
+    assert len(r.counters.gf_series) == 1
+    conflicts, gf = r.counters.gf_series[0]
     assert conflicts == 10_000
     assert 0.0 <= gf <= 1.0
-    assert gf == r.report.gf  # cumulative, so the last sample is final
+    assert gf == r.counters.gf  # cumulative, so the last sample is final
 
 
 def test_unit_chain_is_all_preamble():
@@ -220,7 +221,7 @@ def test_unit_chain_is_all_preamble():
     r = s.solve()
     assert r.verdict is Verdict.SAT
     assert s.metrics.preamble.propagations == 8
-    assert r.report.glue_decisions == r.report.nonglue_decisions == 0
+    assert r.counters.glue_decisions == r.counters.nonglue_decisions == 0
 
 
 def test_header_is_fixed():

@@ -1,0 +1,55 @@
+"""The package's public surface: the exported names, and the names that
+were deleted and must not come back."""
+
+from dataclasses import fields
+
+import gluesat
+from gluesat import bench, formula, solver
+from gluesat.formula import Clause, Formula
+from gluesat.proof import ProofEvent, ProofWriter
+
+PUBLIC = [
+    "Clause",
+    "DimacsError",
+    "Formula",
+    "lit_from_int",
+    "lit_to_int",
+    "normalize_clause",
+    "parse_dimacs",
+    "to_dimacs",
+    "GlueTracker",
+    "MetricsCollector",
+    "MetricsReport",
+    "finalize_report",
+    "ProofEvent",
+    "ProofWriter",
+    "check_rup",
+    "parse_drat",
+    "SolveResult",
+    "Solver",
+    "SolverConfig",
+    "Verdict",
+    "compute_lbd",
+    "luby",
+]
+
+
+def test_all_is_the_public_list_and_resolves():
+    assert gluesat.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(gluesat, name) is not None, name
+
+
+def test_deleted_names_are_gone():
+    for module in (gluesat, solver):
+        assert not hasattr(module, "SearchCounters")
+    for module in (gluesat, formula):
+        assert not hasattr(module, "lit_var")
+    assert not hasattr(bench, "recompute_par2_from_csv")
+    assert [f.name for f in fields(solver.SolveResult)] == [
+        "verdict", "model", "counters", "restarts", "elapsed_s"
+    ]
+    assert not hasattr(ProofWriter, "emit")
+    assert not hasattr(ProofEvent, "to_line")
+    assert not hasattr(Clause, "__len__")
+    assert not hasattr(solver.Solver(Formula(1)), "formula")

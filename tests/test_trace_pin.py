@@ -76,7 +76,7 @@ def trace_fingerprint(case: str, config: str) -> tuple:
     cfg = SolverConfig(glue_bump=config == "gb", **extra)
     s = DecisionHashSolver(build(), cfg, proof=ProofWriter(proof))
     r = s.solve()
-    row = r.report.csv_row(case, r.verdict.value, r.elapsed_s)
+    row = r.counters.csv_row(case, r.verdict.value, r.elapsed_s)
     del row[STATS_CSV_HEADER.index("wall_time_s")]
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(row)
