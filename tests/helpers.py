@@ -67,6 +67,18 @@ def force_decision(solver: Solver, ext_lit: int) -> int:
     return lit
 
 
+def unassigned_argmax(solver: Solver) -> int:
+    """Brute-force branching oracle: the max of (activity, -index) over
+    all unassigned variables. Asserts first that every unassigned
+    variable is in the branching heap."""
+    act = solver.activities.activity
+    pos = solver.activities.heap.pos
+    unassigned = [v for v in range(solver.num_vars) if solver.value[2 * v] == 0]
+    missing = [v for v in unassigned if pos[v] < 0]
+    assert not missing, f"unassigned variables out of the heap: {missing}"
+    return max(unassigned, key=lambda v: (act[v], -v))
+
+
 class InstrumentedSolver(Solver):
     """Solver that audits its own invariants while running.
 

@@ -18,6 +18,7 @@ from helpers import (
     force_decision,
     literal_values,
     oracle_corpus,
+    unassigned_argmax,
     watches_consistent,
 )
 from oracles import (
@@ -288,12 +289,7 @@ class ArgmaxOracleSolver(Solver):
         super().__init__(*args, **kwargs)
 
     def decide(self):
-        act = self.activities.activity
-        pos = self.activities.heap.pos
-        unassigned = [v for v in range(self.num_vars) if self.value[2 * v] == 0]
-        missing = [v for v in unassigned if pos[v] < 0]
-        assert not missing, f"unassigned variables out of the heap: {missing}"
-        expected = max(unassigned, key=lambda v: (act[v], -v))
+        expected = unassigned_argmax(self)
         lit = super().decide()
         assert lit >> 1 == expected
         self.checked_decisions += 1
