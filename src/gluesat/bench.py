@@ -25,9 +25,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
-from .cli import positive_count, positive_seconds
+from .cli import output_clash, positive_count, positive_seconds
 from .formula import parse_dimacs
 from .metrics import STATS_CSV_HEADER, MetricsReport
 from .solver import Solver, SolverConfig
@@ -305,27 +305,42 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(message: object) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(1)
+
+
 def main(argv: Optional[list[str]] = None) -> None:
     args = build_arg_parser().parse_args(argv)
     all_configs = default_configs(max_conflicts=args.max_conflicts)
     names = [n.strip() for n in args.configs.split(",") if n.strip()]
     if not names:
-        print("error: no configs", file=sys.stderr)
-        sys.exit(1)
+        _fail("no configs")
     unknown = [n for n in names if n not in all_configs]
     if unknown:
-        print(f"error: unknown configs {unknown}", file=sys.stderr)
-        sys.exit(1)
+        _fail(f"unknown configs {unknown}")
     configs = {n: all_configs[n] for n in names}
 
-    # Fail on a bad manifest or output directory before any solving.
+    # Fail on a bad manifest, an output that would overwrite an input or
+    # a bad output directory before any solving or writing.
     out_dir = Path(args.out_dir)
     try:
         instances = read_manifest(args.manifest)
-        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
+        _fail(e)
+    outputs = ["records.csv", "summary.csv"]
+    if "baseline" in configs and "gb" in configs:
+        outputs.append("series.csv")
+    clash = output_clash(
+        [("the manifest", args.manifest)] + [("a listed instance", p) for p in instances],
+        [(name, str(out_dir / name)) for name in outputs],
+    )
+    if clash is not None:
+        _fail(clash)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        _fail(e)
     result = run_corpus(instances, configs, timeout_s=args.timeout, jobs=args.jobs)
 
     write_records_csv(out_dir / "records.csv", result.records)

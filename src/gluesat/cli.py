@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from typing import Optional
+from typing import Optional, Sequence
 
 from .formula import DimacsError, parse_dimacs
 from .metrics import STATS_CSV_HEADER
@@ -79,16 +79,22 @@ def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> Non
     w.writerow(report.csv_row(instance, verdict, wall))
 
 
-def output_clash(args: argparse.Namespace) -> Optional[str]:
-    """Why an output path would overwrite the input CNF or the other
-    output, compared after os.path.realpath; None when none would."""
-    taken = {os.path.realpath(args.cnf): "the input CNF"}
-    for flag, path in (("--proof", args.proof), ("--stats-csv", args.stats_csv)):
+def output_clash(
+    inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, Optional[str]]]
+) -> Optional[str]:
+    """Why an output path would overwrite an input or an earlier output,
+    compared after os.path.realpath; None when none would.
+
+    Both take (name, path) pairs, the name being how the error message
+    calls the file; an output path of None is not written and skipped.
+    """
+    taken = {os.path.realpath(path): name for name, path in inputs}
+    for name, path in outputs:
         if path:
             real = os.path.realpath(path)
             if real in taken:
-                return f"{flag} {path} would overwrite {taken[real]}"
-            taken[real] = f"the {flag} output"
+                return f"{name} {path} would overwrite {taken[real]}"
+            taken[real] = f"the {name} output"
     return None
 
 
@@ -100,7 +106,10 @@ def print_model(model: list[int], out=sys.stdout) -> None:
 
 def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_arg_parser().parse_args(argv)
-    clash = output_clash(args)
+    clash = output_clash(
+        [("the input CNF", args.cnf)],
+        [("--proof", args.proof), ("--stats-csv", args.stats_csv)],
+    )
     if clash is not None:
         print(f"error: {clash}", file=err)
         return EXIT_ERROR

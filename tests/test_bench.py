@@ -320,3 +320,36 @@ def test_bench_main_no_configs_fails_before_solving(tmp_path, capsys, configs, n
         bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), "--configs", configs])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: no configs\n"
+
+
+def test_bench_main_refuses_to_overwrite_its_manifest(small_corpus, tmp_path, capsys, no_solving):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    man = out_dir / "records.csv"
+    man.write_text("\n".join(small_corpus))
+    before = man.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(out_dir)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: records.csv ") and "the manifest" in err
+    assert man.read_bytes() == before
+    assert sorted(os.listdir(out_dir)) == ["records.csv"]
+
+
+def test_bench_main_refuses_to_overwrite_a_listed_instance(tmp_path, capsys, no_solving):
+    # the instance is listed by a relative path and the out dir is reached
+    # through "..", so only the resolved paths show the clash
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    inst = out_dir / "summary.csv"
+    inst.write_text(to_dimacs(pigeonhole(2)))
+    before = inst.read_bytes()
+    man = tmp_path / "manifest.txt"
+    man.write_text("out/summary.csv\n")
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(out_dir / ".." / "out")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: summary.csv ") and "a listed instance" in err
+    assert inst.read_bytes() == before
