@@ -3,107 +3,74 @@
 EVSIDS-style scoring: conflicts bump involved variables by a growing
 increment; "decay" divides the increment by DECAY instead of touching
 stored scores. Everything is rescaled by 1e-100 once any activity passes 1e100,
-which preserves the argmax.
+which preserves the argmax. The branching order is a stdlib `heapq`
+list of lazy entries that bumps and rescales leave stale (VarOrderHeap).
 """
 
 from __future__ import annotations
 
+import heapq
+
 DECAY = 0.95
 RESCALE_LIMIT = 1e100
 RESCALE_FACTOR = 1e-100
+MAX_ENTRIES_PER_VAR = 4
 
 
 class VarOrderHeap:
-    """Binary max-heap over variables, keyed by activity.
+    """Max-priority order over variables, keyed by activity.
 
-    Ties break toward the lower variable index so decisions are
-    deterministic; (activity, lower index) is a total order. The heap is
-    lazy: it holds a superset of the unassigned variables. Assigned
-    variables stay in it until `Solver.decide` pops them on its way to
-    the best unassigned one, and backtracking re-inserts only the
-    variables that were popped.
+    `entries` is a heapq min-heap of (-activity, var): the key alone is
+    the tie rule (higher activity, then lower index), a total order, so
+    decisions are deterministic. `in_heap[var]` marks the members. An
+    entry is live when its variable is a member and its key equals
+    -activity[var]; every member has a live entry, the rest are stale.
+    `update` pushes a new entry, `remove` only clears the flag, and
+    `pop_max` discards stale entries until it meets a live one.
+    `rebuild` keeps one live entry per member; it runs after a rescale
+    (every key goes stale) and when the list passes MAX_ENTRIES_PER_VAR
+    entries per variable, which bounds its memory. The members are a
+    superset of the unassigned variables: assigned ones stay until
+    `Solver.decide` pops them, and backtrack re-inserts only popped ones.
     """
 
     def __init__(self, activity: list[float]):
         self.activity = activity
-        self.heap: list[int] = []
-        self.pos: list[int] = [-1] * len(activity)
+        self.entries: list[tuple[float, int]] = []
+        self.in_heap = [False] * len(activity)
 
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def _sift_up(self, i: int) -> None:
-        """Move slot i's variable up, shifting lower-ranked parents down."""
-        h, pos, act = self.heap, self.pos, self.activity
-        var = h[i]
-        a = act[var]
-        while i > 0:
-            parent = (i - 1) >> 1
-            p = h[parent]
-            ap = act[p]
-            if a < ap or (a == ap and var > p):
-                break
-            h[i] = p
-            pos[p] = i
-            i = parent
-        h[i] = var
-        pos[var] = i
-
-    def _sift_down(self, i: int) -> None:
-        """Move slot i's variable down, shifting higher-ranked children up."""
-        h, pos, act = self.heap, self.pos, self.activity
-        n = len(h)
-        var = h[i]
-        a = act[var]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            c = h[child]
-            ac = act[c]
-            right = child + 1
-            if right < n:
-                r = h[right]
-                ar = act[r]
-                if ar > ac or (ar == ac and r < c):
-                    child, c, ac = right, r, ar
-            if ac < a or (ac == a and c > var):
-                break
-            h[i] = c
-            pos[c] = i
-            i = child
-        h[i] = var
-        pos[var] = i
+    def _push(self, var: int) -> None:
+        heapq.heappush(self.entries, (-self.activity[var], var))
+        if len(self.entries) > MAX_ENTRIES_PER_VAR * len(self.in_heap):
+            self.rebuild()
 
     def insert(self, var: int) -> None:
-        assert self.pos[var] < 0, f"variable {var} already in heap"
-        self.heap.append(var)
-        self._sift_up(len(self.heap) - 1)
+        assert not self.in_heap[var], f"variable {var} already in heap"
+        self.in_heap[var] = True
+        self._push(var)
 
     def remove(self, var: int) -> None:
-        i = self.pos[var]
-        assert i >= 0, f"variable {var} not in heap"
-        last = self.heap.pop()
-        self.pos[var] = -1
-        if i < len(self.heap):
-            self.heap[i] = last
-            self._sift_down(i)
-            self._sift_up(i)
-
-    def pop_max(self) -> int:
-        var = self.heap[0]
-        self.remove(var)
-        return var
+        assert self.in_heap[var], f"variable {var} not in heap"
+        self.in_heap[var] = False
 
     def update(self, var: int) -> None:
-        """Restore heap order after var's activity rose.
+        """Give var a live entry for its new activity; its old one goes stale."""
+        if self.in_heap[var]:
+            self._push(var)
 
-        Activities only rise (bumps add a non-negative amount, and a
-        rescale keeps every pair's order), so a sift up suffices.
-        """
-        i = self.pos[var]
-        if i >= 0:
-            self._sift_up(i)
+    def pop_max(self) -> int:
+        entries, in_heap, act = self.entries, self.in_heap, self.activity
+        while True:
+            key, var = heapq.heappop(entries)
+            if in_heap[var] and key == -act[var]:
+                self.remove(var)
+                return var
+
+    def rebuild(self) -> None:
+        """Drop every stale entry: heapify one live entry per member."""
+        act, in_heap = self.activity, self.in_heap
+        self.entries = [(-act[v], v) for v in range(len(act)) if in_heap[v]]
+        heapq.heapify(self.entries)
 
 
 class ActivityTable:
@@ -128,10 +95,11 @@ class ActivityTable:
     def rescale(self) -> None:
         """Scale all activities and the increment down by 1e-100.
 
-        A uniform positive scaling preserves the order of every pair, so
-        the heap needs no rebuild.
+        A uniform positive scaling keeps the order of every pair but
+        changes every heap key, so the heap is rebuilt.
         """
         act = self.activity
         for v in range(len(act)):
             act[v] *= RESCALE_FACTOR
         self.var_inc *= RESCALE_FACTOR
+        self.heap.rebuild()

@@ -257,8 +257,9 @@ class Solver:
 
         Picks the maximum-activity unassigned variable (ties to the
         lowest index) with its saved phase, and reports the decision's
-        glue class to the metrics collector. Assigned variables popped on
-        the way leave the lazy heap here.
+        glue class to the metrics collector. `pop_max` skips stale heap
+        entries itself; assigned variables it returns on the way leave
+        the heap here.
         """
         heap = self.activities.heap
         value = self.value
@@ -275,17 +276,17 @@ class Solver:
         """Unassign everything above `level`, newest first.
 
         Each variable's phase is saved and, under GB, a glue variable's
-        activity is bumped (through `heap.update` if it is still in the
-        lazy heap). A variable that `decide` popped re-enters the heap
-        after its bump. Either way the bump lands before the next
-        decision.
+        activity is bumped; if it is still in the heap, `heap.update`
+        pushes an entry with the bumped key. A variable that `decide`
+        popped (its `in_heap` flag clear) re-enters the heap after its
+        bump. Either way the bump lands before the next decision.
         """
         assert level < self.current_level
         limit = self.trail_lim[level]
         trail, phases, value, reasons = self.trail, self.phases, self.value, self.reasons
         activities = self.activities
         heap = activities.heap
-        heap_pos = heap.pos
+        in_heap = heap.in_heap
         glue = self.glue
         glue_level = glue.glue_level
         bump_enabled = glue.bump_enabled
@@ -298,7 +299,7 @@ class Solver:
             reasons[v] = None
             if bump_enabled and glue_level[v] > 0:
                 glue.on_unassigned(v, activities)
-            if heap_pos[v] < 0:
+            if not in_heap[v]:
                 heap.insert(v)
         del trail[limit:]
         del self.trail_lim[level:]

@@ -72,9 +72,9 @@ def unassigned_argmax(solver: Solver) -> int:
     all unassigned variables. Asserts first that every unassigned
     variable is in the branching heap."""
     act = solver.activities.activity
-    pos = solver.activities.heap.pos
+    in_heap = solver.activities.heap.in_heap
     unassigned = [v for v in range(solver.num_vars) if solver.value[2 * v] == 0]
-    missing = [v for v in unassigned if pos[v] < 0]
+    missing = [v for v in unassigned if not in_heap[v]]
     assert not missing, f"unassigned variables out of the heap: {missing}"
     return max(unassigned, key=lambda v: (act[v], -v))
 
