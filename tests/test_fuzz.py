@@ -33,10 +33,10 @@ CONFIGS = st.builds(
 def small_formulas(draw) -> Formula:
     """A formula over at most 12 variables: a relabelled crafted instance
     (pigeonhole, parity) plus a few random clauses, or random clauses
-    only, mostly 3-literal and up to 6 per variable, around the 3-SAT
-    threshold. The crafted ones make runs reach learning, reduce_db and
-    restarts. Clauses come from a drawn seed, which generates far faster
-    than drawing every literal."""
+    only, mostly 3-literal, 0 to 6 per variable, so across the 3-SAT
+    threshold. The crafted ones make runs reach learning and reduce_db.
+    Clauses come from a drawn seed, which generates far faster than
+    drawing every literal."""
     base = draw(st.sampled_from(CRAFTED))
     rng = random.Random(draw(st.integers(0, 2**32)))
     if base is None:
