@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import multiprocessing as mp
 import os
 
@@ -14,6 +16,7 @@ from gluesat.bench import (
     run_corpus,
     solved_diff_series,
     write_records_csv,
+    write_series_csv,
     write_summary_csv,
 )
 from gluesat.formula import to_dimacs
@@ -353,3 +356,63 @@ def test_bench_main_refuses_to_overwrite_a_listed_instance(tmp_path, capsys, no_
     err = capsys.readouterr().err
     assert err.startswith("error: summary.csv ") and "a listed instance" in err
     assert inst.read_bytes() == before
+
+
+# ---- harness byte pin -------------------------------------------------------------------
+
+# sha1 of records.csv and summary.csv from `harness_outputs`, with every
+# wall_time_s and par2_sum_s cell masked and each instance path cut to
+# its file name. A refactor of the harness must leave both unchanged.
+RECORDS_SHA1 = "dcdd7c64b29d2b97c7dbcd1be0ad34a3ed9e95d5"
+SUMMARY_SHA1 = "a724c2ca9ec92e03960489037833163bab039ae7"
+
+
+def _masked_sha1(path, column):
+    raw = path.read_bytes()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    assert buf.getvalue().encode() == raw  # the reader/writer round trip is exact
+    idx = rows[0].index(column)
+    for row in rows[1:]:
+        row[idx] = "X"
+        if rows[0][0] == "instance":
+            row[0] = os.path.basename(row[0])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return hashlib.sha1(buf.getvalue().encode()).hexdigest(), len(rows)
+
+
+@pytest.fixture(scope="module")
+def harness_outputs(tmp_path_factory):
+    """records.csv, summary.csv and series.csv of one two-config run over a
+    SAT, an UNSAT and a conflict-capped instance."""
+    d = tmp_path_factory.mktemp("pin")
+    paths = []
+    for name, f in [
+        ("php4.cnf", pigeonhole(4)),
+        ("rand1.cnf", random_ksat(20, 70, seed=1)),
+        ("php6_capped.cnf", pigeonhole(6)),
+    ]:
+        (d / name).write_text(to_dimacs(f))
+        paths.append(str(d / name))
+    result = run_corpus(paths, default_configs(max_conflicts=300), timeout_s=60.0, jobs=1)
+    write_records_csv(d / "records.csv", result.records)
+    write_summary_csv(d / "summary.csv", result.summaries)
+    write_series_csv(d / "series.csv", result.series)
+    return d
+
+
+def test_harness_records_and_summary_bytes_are_pinned(harness_outputs):
+    records = _masked_sha1(harness_outputs / "records.csv", "wall_time_s")
+    summary = _masked_sha1(harness_outputs / "summary.csv", "par2_sum_s")
+    assert records == (RECORDS_SHA1, 7)
+    assert summary == (SUMMARY_SHA1, 3)
+
+
+def test_harness_series_shape_is_pinned(harness_outputs):
+    with open(harness_outputs / "series.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["time_s", "solved_diff"]
+    assert len(rows) == 1 + 101
