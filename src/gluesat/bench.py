@@ -25,11 +25,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .cli import output_clash, positive_count, positive_seconds
 from .formula import parse_dimacs
-from .metrics import STATS_CSV_HEADER, MetricsReport
+from .metrics import STATS_COLUMNS, MetricsReport
 from .solver import Solver, SolverConfig
 
 SOLVED_VERDICTS = ("SATISFIABLE", "UNSATISFIABLE")
@@ -37,9 +37,7 @@ HARD_KILL_GRACE_S = 5.0
 SERIES_POINTS = 100
 
 RECORDS_CSV_HEADER = (
-    ["instance", "config", "verdict", "wall_time_s", "timeout_s"]
-    + STATS_CSV_HEADER[3:]
-    + ["error"]
+    ["instance", "config", "verdict", "wall_time_s", "timeout_s"] + STATS_COLUMNS + ["error"]
 )
 SUMMARY_CSV_HEADER = ["config", "solved_sat", "solved_unsat", "par2_sum_s"]
 SERIES_CSV_HEADER = ["time_s", "solved_diff"]
@@ -60,18 +58,16 @@ class RunRecord:
         return self.verdict in SOLVED_VERDICTS
 
     def csv_row(self) -> list[str]:
-        head = [
+        stats = [""] * len(STATS_COLUMNS) if self.report is None else self.report.csv_cells()
+        return [
             self.instance,
             self.config,
             self.verdict,
             repr(self.wall_time_s),
             repr(self.timeout_s),
+            *stats,
+            self.error,
         ]
-        if self.report is None:
-            stats = [""] * len(STATS_CSV_HEADER[3:])
-        else:
-            stats = self.report.csv_row("", "", 0.0)[3:]
-        return head + stats + [self.error]
 
 
 @dataclass
@@ -110,29 +106,25 @@ def read_manifest(path: str | Path) -> list[str]:
     return out
 
 
-def _solve_worker(conn, path: str, config: SolverConfig) -> None:
+def _solve_worker(conn, inst: str, name: str, config: SolverConfig) -> None:
+    """Solve one instance and send its RunRecord; the config's time limit
+    is the run's timeout."""
+    timeout_s = config.time_limit_s
     t0 = time.perf_counter()
     try:
-        with open(path, "rb") as fh:
+        with open(inst, "rb") as fh:
             formula = parse_dimacs(fh)
         result = Solver(formula, config).solve()
-        conn.send(
-            {
-                "verdict": result.verdict.value,
-                "wall": result.elapsed_s,
-                "report": result.counters,
-            }
+        record = RunRecord(
+            inst, name, result.verdict.value, result.elapsed_s, timeout_s, result.counters
         )
     except Exception as e:  # report parse/IO failures as errored records
-        conn.send(
-            {
-                "verdict": "ERROR",
-                "wall": time.perf_counter() - t0,
-                "error": f"{type(e).__name__}: {e}",
-            }
+        record = RunRecord(
+            inst, name, "ERROR", time.perf_counter() - t0, timeout_s,
+            error=f"{type(e).__name__}: {e}",
         )
-    finally:
-        conn.close()
+    with conn:
+        conn.send(record)
 
 
 def run_corpus(
@@ -159,13 +151,11 @@ def run_corpus(
             inst, name = pending.popleft()
             if not os.path.isfile(inst):
                 warnings.warn(f"missing instance {inst}: excluded from PAR-2")
-                records.append(
-                    RunRecord(inst, name, "ERROR", 0.0, timeout_s, None, "missing file")
-                )
+                records.append(RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file"))
                 continue
             cfg = replace(configs[name], time_limit_s=timeout_s)
             conn, child_conn = mp.Pipe(duplex=False)
-            proc = mp.Process(target=_solve_worker, args=(child_conn, inst, cfg))
+            proc = mp.Process(target=_solve_worker, args=(child_conn, inst, name, cfg))
             proc.start()
             child_conn.close()
             running[conn] = (proc, inst, name, time.monotonic())
@@ -179,29 +169,28 @@ def run_corpus(
         for conn, (proc, inst, name, start) in list(running.items()):
             if conn in ready:
                 try:
-                    msg = conn.recv()
+                    record = conn.recv()
                 except EOFError:  # the worker exited without a result
-                    msg = {"verdict": "ERROR", "wall": 0.0, "error": "worker pipe closed"}
+                    record = RunRecord(
+                        inst, name, "ERROR", 0.0, timeout_s, error="worker pipe closed"
+                    )
             elif now - start >= kill_after:
                 proc.terminate()
-                msg = {"verdict": "UNKNOWN", "wall": now - start, "error": "hard timeout"}
+                record = RunRecord(
+                    inst, name, "UNKNOWN", now - start, timeout_s, error="hard timeout"
+                )
             else:
                 continue
             proc.join()
             conn.close()
             del running[conn]
-            records.append(
-                RunRecord(
-                    inst, name, msg["verdict"], msg["wall"], timeout_s,
-                    msg.get("report"), msg.get("error", ""),
-                )
-            )
+            records.append(record)
 
     records.sort(key=lambda r: (r.instance, r.config))
     _check_verdict_agreement(records)
     summaries = par2_summaries(records, timeout_s, sorted(configs))
     series = []
-    if "baseline" in configs and "gb" in configs:
+    if configs.keys() >= {"baseline", "gb"}:
         series = solved_diff_series(records, timeout_s)
     return CorpusResult(records, summaries, series)
 
@@ -222,19 +211,12 @@ def par2_summaries(
     (UNKNOWN) runs 2x timeout, errored records are excluded."""
     out = []
     for name in config_names:
-        sat = unsat = 0
+        scored = [r for r in records if r.config == name and r.verdict != "ERROR"]
         par2 = 0.0
-        for r in records:  # records are sorted; summation order is fixed
-            if r.config != name or r.verdict == "ERROR":
-                continue
-            if r.verdict == "SATISFIABLE":
-                sat += 1
-                par2 += r.wall_time_s
-            elif r.verdict == "UNSATISFIABLE":
-                unsat += 1
-                par2 += r.wall_time_s
-            else:
-                par2 += 2.0 * timeout_s
+        for r in scored:  # records are sorted; summation order is fixed
+            par2 += r.wall_time_s if r.solved else 2.0 * timeout_s
+        sat = sum(r.verdict == "SATISFIABLE" for r in scored)
+        unsat = sum(r.verdict == "UNSATISFIABLE" for r in scored)
         out.append(Par2Summary(name, sat, unsat, par2))
     return out
 
@@ -258,28 +240,26 @@ def solved_diff_series(
 # ---- CSV output ------------------------------------------------------------
 
 
-def write_records_csv(path: str | Path, records: Sequence[RunRecord]) -> None:
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RECORDS_CSV_HEADER)
-        for r in records:
-            w.writerow(r.csv_row())
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_records_csv(path: str | Path, records: Sequence[RunRecord]) -> None:
+    _write_csv(path, RECORDS_CSV_HEADER, (r.csv_row() for r in records))
 
 
 def write_summary_csv(path: str | Path, summaries: Sequence[Par2Summary]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_CSV_HEADER)
-        for s in summaries:
-            w.writerow([s.config, s.solved_sat, s.solved_unsat, repr(s.par2_s)])
+    rows = ([s.config, s.solved_sat, s.solved_unsat, repr(s.par2_s)] for s in summaries)
+    _write_csv(path, SUMMARY_CSV_HEADER, rows)
 
 
 def write_series_csv(path: str | Path, series: Sequence[tuple[float, int]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SERIES_CSV_HEADER)
-        for t, diff in series:
-            w.writerow([repr(t), diff])
+    """The solved-difference series; with an empty series (one config run),
+    the header alone."""
+    _write_csv(path, SERIES_CSV_HEADER, ([repr(t), diff] for t, diff in series))
 
 
 # ---- CLI --------------------------------------------------------------------
@@ -328,12 +308,9 @@ def main(argv: Optional[list[str]] = None) -> None:
         instances = read_manifest(args.manifest)
     except (OSError, UnicodeDecodeError) as e:
         _fail(e)
-    outputs = ["records.csv", "summary.csv"]
-    if "baseline" in configs and "gb" in configs:
-        outputs.append("series.csv")
     clash = output_clash(
         [("the manifest", args.manifest)] + [("a listed instance", p) for p in instances],
-        [(name, str(out_dir / name)) for name in outputs],
+        [(name, str(out_dir / name)) for name in ("records.csv", "summary.csv", "series.csv")],
     )
     if clash is not None:
         _fail(clash)
@@ -343,10 +320,10 @@ def main(argv: Optional[list[str]] = None) -> None:
         _fail(e)
     result = run_corpus(instances, configs, timeout_s=args.timeout, jobs=args.jobs)
 
+    # Every output is written on every run, so none is left from an earlier one.
     write_records_csv(out_dir / "records.csv", result.records)
     write_summary_csv(out_dir / "summary.csv", result.summaries)
-    if result.series:
-        write_series_csv(out_dir / "series.csv", result.series)
+    write_series_csv(out_dir / "series.csv", result.series)
 
     for s in result.summaries:
         print(

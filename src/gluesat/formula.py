@@ -32,12 +32,12 @@ def lit_to_int(lit: int) -> int:
 class Clause:
     """A clause over internal literal codes.
 
-    `lbd` is meaningful only for learnt clauses (0 = unset); whether a
-    learnt clause is glue is decided from it by GlueTracker.is_glue_lbd.
+    `lbd` is 0 for an original clause and at least 1 for a learnt one,
+    so it also says whether the clause was learnt; whether a learnt
+    clause is glue is decided from it by GlueTracker.is_glue_lbd.
     """
 
     lits: list[int]
-    learnt: bool = False
     lbd: int = 0
     activity: float = 0.0
 
@@ -45,7 +45,7 @@ class Clause:
         return [lit_to_int(l) for l in self.lits]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = "L" if self.learnt else ""
+        tag = "L" if self.lbd else ""
         return f"Clause({self.to_ints()}{tag} lbd={self.lbd})"
 
 

@@ -24,13 +24,9 @@ GLUE = "glue"
 NONGLUE = "nonglue"
 PREAMBLE = "preamble"
 
-GF_SAMPLE_INTERVAL = 10_000  # conflicts between glue-fraction samples
-
 STATS_CSV_VERSION = 1
-STATS_CSV_HEADER = [
-    "instance",
-    "verdict",
-    "wall_time_s",
+# The MetricsReport fields that make up a stats row, in column order.
+STATS_COLUMNS = [
     "decisions",
     "propagations",
     "conflicts",
@@ -48,6 +44,7 @@ STATS_CSV_HEADER = [
     "r_glue",
     "r_nonglue",
 ]
+STATS_CSV_HEADER = ["instance", "verdict", "wall_time_s"] + STATS_COLUMNS
 
 
 @dataclass
@@ -85,16 +82,18 @@ class MetricsReport:
     r_nonglue: Optional[float] = None
     glue_var_count: int = 0
     num_vars: int = 0
-    # (conflict count, glue fraction) samples every GF_SAMPLE_INTERVAL
-    # conflicts; figure-style output, not part of the CSV row.
+    # (conflict count, glue fraction) samples, one per restart;
+    # figure-style output, not part of the CSV row.
     gf_series: list[tuple[int, float]] = field(default_factory=list)
 
+    def csv_cells(self) -> list[str]:
+        """The STATS_COLUMNS cells; None becomes an empty cell."""
+        cells = [getattr(self, name) for name in STATS_COLUMNS]
+        return ["" if c is None else repr(c) for c in cells]
+
     def csv_row(self, instance: str, verdict: str, wall_time_s: float) -> list[str]:
-        """One row matching STATS_CSV_HEADER; None becomes an empty cell."""
-        cells = [getattr(self, name) for name in STATS_CSV_HEADER[3:]]
-        return [instance, verdict, repr(wall_time_s)] + [
-            "" if c is None else repr(c) for c in cells
-        ]
+        """One row matching STATS_CSV_HEADER."""
+        return [instance, verdict, repr(wall_time_s)] + self.csv_cells()
 
 
 class MetricsCollector:

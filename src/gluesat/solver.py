@@ -31,12 +31,7 @@ from typing import Iterable, Optional, Sequence
 from .activity import ActivityTable
 from .formula import Clause, Formula, lit_to_int
 from .glue import GLUE_LBD, GlueTracker
-from .metrics import (
-    GF_SAMPLE_INTERVAL,
-    MetricsCollector,
-    MetricsReport,
-    finalize_report,
-)
+from .metrics import MetricsCollector, MetricsReport, finalize_report
 from .proof import ProofWriter
 
 CLAUSE_ACT_LIMIT = 1e20
@@ -328,7 +323,7 @@ class Solver:
         idx = len(trail) - 1
 
         while True:
-            if confl.learnt:
+            if confl.lbd:  # learnt
                 self._bump_clause_activity(confl)
             for q in confl.lits:
                 if q == p:
@@ -368,7 +363,7 @@ class Solver:
         return learnt, assertion_level, lbd
 
     def _attach_learnt(self, lits: list[int], lbd: int) -> Clause:
-        c = Clause(list(lits), learnt=True, lbd=lbd)
+        c = Clause(list(lits), lbd=lbd)
         self.learnts.append(c)  # before the bump, so a rescale it fires covers c
         self._bump_clause_activity(c)
         if len(lits) >= 2:
@@ -418,6 +413,9 @@ class Solver:
         return self.conflicts_since_restart >= bound
 
     def _restart(self) -> None:
+        """Return to level 0, first sampling (conflicts, glue fraction)."""
+        metrics = self.metrics
+        metrics.sample_gf(metrics.total("conflicts"), self.glue.glue_var_count / self.num_vars)
         self.restarts += 1
         self.conflicts_since_restart = 0
         if self.current_level > 0:
@@ -453,12 +451,10 @@ class Solver:
                 self._enqueue(lits[0], clause)
                 self.activities.decay()
                 self.cla_inc /= CLAUSE_DECAY
-                conflicts = self.metrics.total("conflicts")
-                if self.num_vars > 0 and conflicts % GF_SAMPLE_INTERVAL == 0:
-                    self.metrics.sample_gf(conflicts, self.glue.glue_var_count / self.num_vars)
                 if self.should_restart():
                     self._restart()
-                if cfg.max_conflicts is not None and conflicts >= cfg.max_conflicts:
+                cap = cfg.max_conflicts
+                if cap is not None and self.metrics.total("conflicts") >= cap:
                     break
             else:
                 if len(self.learnts) > self.learnt_limit:

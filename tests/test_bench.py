@@ -340,6 +340,36 @@ def test_bench_main_refuses_to_overwrite_its_manifest(small_corpus, tmp_path, ca
     assert sorted(os.listdir(out_dir)) == ["records.csv"]
 
 
+def test_bench_main_refuses_to_overwrite_series_with_one_config(
+    small_corpus, tmp_path, capsys, no_solving
+):
+    # series.csv is an output of every run, not only of a two-config one
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    man = out_dir / "series.csv"
+    man.write_text("\n".join(small_corpus))
+    before = man.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        bench_main(["--manifest", str(man), "--out-dir", str(out_dir), "--configs", "baseline"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: series.csv ") and "the manifest" in err
+    assert man.read_bytes() == before
+
+
+def test_bench_main_one_config_run_replaces_an_earlier_series(small_corpus, tmp_path):
+    man = tmp_path / "manifest.txt"
+    man.write_text("\n".join(small_corpus[:2]))
+    out_dir = tmp_path / "results"
+    args = ["--manifest", str(man), "--out-dir", str(out_dir), "--max-conflicts", "50000"]
+    bench_main(args)
+    assert len((out_dir / "series.csv").read_text().splitlines()) == 1 + 101
+    bench_main(args + ["--configs", "baseline"])
+    assert (out_dir / "series.csv").read_text().splitlines() == ["time_s,solved_diff"]
+    with open(out_dir / "summary.csv", newline="") as fh:
+        assert [r["config"] for r in csv.DictReader(fh)] == ["baseline"]
+
+
 def test_bench_main_refuses_to_overwrite_a_listed_instance(tmp_path, capsys, no_solving):
     # the instance is listed by a relative path and the out dir is reached
     # through "..", so only the resolved paths show the clash

@@ -11,7 +11,7 @@ from oracles import centrality, replay_activity_log
 
 
 def glue_clause(ext_lits):
-    return Clause([lit_from_int(x) for x in ext_lits], learnt=True, lbd=2)
+    return Clause([lit_from_int(x) for x in ext_lits], lbd=2)
 
 
 # ---- raising glue levels (learning-time hook) --------------------------------

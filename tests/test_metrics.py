@@ -1,5 +1,6 @@
 import csv
 import io
+from itertools import accumulate
 
 import pytest
 
@@ -9,8 +10,9 @@ from gluesat.metrics import (
     MetricsCollector,
     finalize_report,
 )
-from gluesat.solver import Solver, SolverConfig, Verdict
+from gluesat.solver import RESTART_BASE, Solver, SolverConfig, Verdict
 from helpers import attach_classification_log
+from oracles import luby_sequence
 
 
 # ---- classification and attribution -----------------------------------------
@@ -204,16 +206,21 @@ def test_report_rows_are_byte_identical_across_runs():
     assert rows[0] == rows[1]
 
 
-def test_gf_series_sampled_on_long_runs():
-    from gluesat.gen import pigeonhole
-
-    r = Solver(pigeonhole(8), SolverConfig(max_conflicts=10_000)).solve()
-    assert r.verdict is Verdict.UNKNOWN
-    assert len(r.counters.gf_series) == 1
-    conflicts, gf = r.counters.gf_series[0]
-    assert conflicts == 10_000
-    assert 0.0 <= gf <= 1.0
-    assert gf == r.counters.gf  # cumulative, so the last sample is final
+def test_gf_series_sampled_at_every_restart():
+    # a short UNSAT run: 2 restarts under baseline, 3 under gb
+    f = random_ksat(150, 1050, seed=1)
+    for glue_bump in (False, True):
+        r = Solver(f, SolverConfig(glue_bump=glue_bump)).solve()
+        assert r.verdict is Verdict.UNSAT
+        series = r.counters.gf_series
+        assert r.restarts >= 2
+        assert len(series) == r.restarts
+        # each restart comes RESTART_BASE * luby(i) conflicts after the last
+        gaps = [RESTART_BASE * t for t in luby_sequence(r.restarts)]
+        assert [c for c, _ in series] == list(accumulate(gaps))
+        fractions = [g for _, g in series]
+        assert fractions == sorted(fractions)  # glue variables are never unmarked
+        assert fractions[-1] <= r.counters.gf
 
 
 def test_unit_chain_is_all_preamble():

@@ -1,9 +1,10 @@
 """The gluesat names that perfbench/ reaches, exercised in tier-1.
 
 perfbench subclasses the solver and wraps its heap and glue hooks by
-attribute name (perfbench/spans.py). A change under src/gluesat that
-drops or renames one of them fails here, not as failed operations in a
-benchmark run.
+attribute name (perfbench/spans.py), and reads the corpus harness's
+records and summaries by field name (perfbench/worker.py). A change
+under src/gluesat that drops or renames one of them fails here, not as
+failed operations in a benchmark run.
 """
 
 import io
@@ -14,9 +15,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from gluesat.gen import pigeonhole
+from gluesat.formula import to_dimacs
+from gluesat.gen import pigeonhole, random_ksat
 from gluesat.proof import check_rup
-from gluesat.solver import Verdict
+from gluesat.solver import Solver, Verdict
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -71,3 +73,20 @@ def test_relabel_round_trips(perfbench):
     ]
     assert relabelled.num_vars == formula.num_vars
     assert sorted(restored) == sorted(sorted(c.to_ints()) for c in formula.clauses)
+
+
+def test_corpus_reads_the_harness_records(perfbench, tmp_path):
+    worker = perfbench.worker
+    formulas = {"php3.cnf": pigeonhole(3), "rand.cnf": random_ksat(20, 70, seed=1)}
+    for name, f in formulas.items():
+        (tmp_path / name).write_text(to_dimacs(f))
+    paths = [str(tmp_path / name) for name in formulas]
+    out = worker._corpus(paths, "gb", 1000, 30.0)
+
+    assert out["solved"] == 2
+    assert out["par2_s"] == sum(r["wall_time_s"] for r in out["records"])
+    assert [r["instance"] for r in out["records"]] == ["php3.cnf", "rand.cnf"]
+    for r in out["records"]:
+        c = Solver(formulas[r["instance"]], worker.solver_config("gb", 1000)).solve().counters
+        assert r["counts"] == [c.decisions, c.propagations, c.conflicts]
+        assert r["error"] == ""

@@ -4,7 +4,7 @@ were deleted and must not come back."""
 from dataclasses import fields
 
 import gluesat
-from gluesat import bench, formula, solver
+from gluesat import bench, formula, metrics, solver
 from gluesat.formula import Clause, Formula
 from gluesat.proof import ProofEvent, ProofWriter
 
@@ -52,4 +52,6 @@ def test_deleted_names_are_gone():
     assert not hasattr(ProofWriter, "emit")
     assert not hasattr(ProofEvent, "to_line")
     assert not hasattr(Clause, "__len__")
+    assert not hasattr(Clause, "learnt")  # a clause is learnt iff its lbd > 0
+    assert not hasattr(metrics, "GF_SAMPLE_INTERVAL")
     assert not hasattr(solver.Solver(Formula(1)), "formula")

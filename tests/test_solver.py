@@ -430,7 +430,7 @@ def test_interleaved_bump_decay_matches_naive_replay():
 
 def _fabricate_learnt(s, ext_lits, lbd, activity=0.0):
     c = Clause([2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in ext_lits],
-               learnt=True, lbd=lbd, activity=activity)
+               lbd=lbd, activity=activity)
     s.learnts.append(c)
     s._watch(c)
     return c
