@@ -4,8 +4,8 @@ Each (instance, config) pair solves in its own worker process under a
 wall-clock timeout; the solver also sees the timeout so it can give up
 cleanly between propagation rounds, and a hard kill at timeout plus a
 grace period catches runaways. The harness blocks on the running
-workers' result pipes until one turns readable (a result, or EOF from a
-worker that died) or the earliest kill deadline passes. Unsolved
+workers' result pipes until one turns readable (the worker's RunRecord,
+or EOF from a worker that died) or the earliest kill deadline passes. Unsolved
 instances score twice the timeout (PAR-2, reported as a sum over
 instances). A cumulative series of solved(gb, <=t) - solved(baseline,
 <=t) over a time grid supports solve-time difference plots.
