@@ -5,13 +5,20 @@ no code with the package under test: truth-table enumeration over
 bigint bitmaps, direct clause evaluation, full-scan unit propagation,
 a list-doubling Luby generator, a resolution-based first-UIP
 calculator, and a PAR-2 recount read back from a records CSV.
+
+The one exception is `parse_dimacs_reference`, the package's earlier
+token-at-a-time DIMACS parser kept as the differential oracle for
+`parse_dimacs`: it builds the same `Formula`/`Clause` objects through
+the package's literal codec and `normalize_clause`.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
+from typing import IO, Union
 
-from gluesat.formula import Formula
+from gluesat.formula import Clause, DimacsError, Formula, lit_from_int, normalize_clause
 
 
 def _var_mask(v: int, n: int) -> int:
@@ -286,3 +293,76 @@ def replay_activity_log(
         else:
             raise ValueError(f"unknown event {ev!r}")
     return act
+
+
+def parse_dimacs_reference(source: Union[str, bytes, IO]) -> Formula:
+    """Parse DIMACS CNF text into a Formula, one token at a time.
+
+    The reference `parse_dimacs` must agree with on every input: the
+    same Formula, the same warning text, or a DimacsError with the same
+    message.
+    """
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        text = source.decode("latin-1")
+    else:
+        text = source
+
+    num_vars = -1
+    declared_clauses = -1
+    clauses: list[Clause] = []
+    raw_count = 0
+    pending: list[int] = []
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("%"):
+            break
+        if stripped.startswith("p"):
+            if num_vars >= 0:
+                raise DimacsError(f"line {lineno}: duplicate header")
+            parts = stripped.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+            try:
+                num_vars = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer header counts") from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise DimacsError(f"line {lineno}: negative header counts")
+            continue
+        if num_vars < 0:
+            raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+        for tok in stripped.split():
+            try:
+                val = int(tok)
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer token {tok!r}") from None
+            if val == 0:
+                raw_count += 1
+                lits = normalize_clause(pending)
+                pending = []
+                if lits is None:
+                    continue
+                clauses.append(Clause([lit_from_int(x) for x in lits]))
+            else:
+                if abs(val) > num_vars:
+                    raise DimacsError(
+                        f"line {lineno}: literal {val} out of range (num_vars={num_vars})"
+                    )
+                pending.append(val)
+
+    if num_vars < 0:
+        raise DimacsError("missing 'p cnf' header")
+    if pending:
+        raise DimacsError("unterminated clause at end of input (missing 0)")
+    if raw_count != declared_clauses:
+        warnings.warn(
+            f"header declares {declared_clauses} clauses but {raw_count} were read",
+            stacklevel=2,
+        )
+    return Formula(num_vars, clauses)

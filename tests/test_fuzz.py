@@ -1,5 +1,6 @@
 """Hypothesis fuzzing: the solver over random SolverConfigs and small
-formulas, and both text parsers over byte-mutated valid inputs."""
+formulas, both text parsers over byte-mutated valid inputs, and
+`parse_dimacs` against the token-at-a-time reference parser."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from gluesat.gen import parity_chain, parity_contradiction, pigeonhole
 from gluesat.proof import ADD, DELETE, ProofWriter, check_rup, parse_drat
 from gluesat.solver import SolverConfig, Verdict
 from helpers import InstrumentedSolver, unassigned_argmax
-from oracles import model_satisfies, truth_table_satisfiable
+from oracles import model_satisfies, parse_dimacs_reference, truth_table_satisfiable
 
 # ---- solver over SolverConfig ---------------------------------------------------
 
@@ -120,6 +121,38 @@ def test_parse_dimacs_fuzz_raises_only_dimacs_error(formula, edits):
         return
     assert isinstance(parsed, Formula)
     assert all(lit >> 1 < parsed.num_vars for c in parsed.clauses for lit in c.lits)
+
+
+# DIMACS syntax plus every latin-1 character that str.split or
+# str.splitlines treats as whitespace or a line break; bytes.split splits
+# on none of \x85 \xa0 \x1c-\x1f.
+DIMACS_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 1 << 16),
+        st.sampled_from(list(b"0123456789-+_%pcnf \n\r\t\x85\xa0\x0b\x0c\x1c\x1d\x1e\x1f")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def parse_outcome(parse, data: bytes):
+    """What a DIMACS parser makes of `data`: the variable count, the
+    clauses' literal codes and the warning texts, or the DimacsError text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f = parse(data)
+        except DimacsError as e:
+            return "error", str(e)
+    return f.num_vars, [c.lits for c in f.clauses], [str(w.message) for w in caught]
+
+
+@given(small_formulas(), DIMACS_EDITS)
+def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, edits):
+    data = mutate(to_dimacs(formula).encode(), edits)
+    assert parse_outcome(parse_dimacs, data) == parse_outcome(parse_dimacs_reference, data)
 
 
 PROOF_LINES = st.lists(
