@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import sys
+import time
 from contextlib import ExitStack
 from typing import Optional, Sequence
 
@@ -55,7 +56,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="bump glue-variable activities on backtrack (default: off)",
     )
     ap.add_argument("--timeout", type=positive_seconds, default=None, metavar="S",
-                    help="wall-clock budget in seconds; exceeding it yields UNKNOWN")
+                    help="wall-clock budget in seconds for the whole run, reading "
+                         "and parsing the input included; exceeding it yields UNKNOWN")
     ap.add_argument("--max-conflicts", type=positive_count, default=None, metavar="N",
                     help="conflict budget; exceeding it yields UNKNOWN")
     ap.add_argument("--proof", metavar="PATH", default=None,
@@ -66,11 +68,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        glue_bump=args.glue_bump == "on",
-        max_conflicts=args.max_conflicts,
-        time_limit_s=args.timeout,
-    )
+    """The solver options the arguments ask for. The time budget is not
+    among them: run_single sets it from what --timeout has left once
+    the input is parsed and the solver built."""
+    return SolverConfig(glue_bump=args.glue_bump == "on", max_conflicts=args.max_conflicts)
 
 
 def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> None:
@@ -106,6 +107,7 @@ def print_model(model: list[int], out=sys.stdout) -> None:
 
 def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_arg_parser().parse_args(argv)
+    started = time.perf_counter()  # --timeout counts from here
     clash = output_clash(
         [("the input CNF", args.cnf)],
         [("--proof", args.proof), ("--stats-csv", args.stats_csv)],
@@ -133,7 +135,13 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
             print(f"error: {e}", file=err)
             return EXIT_ERROR
         proof = ProofWriter(proof_fh) if proof_fh is not None else None
-        result = Solver(formula, config_from_args(args), proof=proof).solve()
+        config = config_from_args(args)
+        solver = Solver(formula, config, proof=proof)
+        if args.timeout is not None:
+            # The solver gets what parsing and setup left; at <= 0 it
+            # stops before its first propagation.
+            config.time_limit_s = args.timeout - (time.perf_counter() - started)
+        result = solver.solve()
         if stats_fh is not None:
             write_stats_csv(
                 stats_fh, args.cnf, result.verdict.value, result.elapsed_s, result.counters

@@ -7,13 +7,36 @@ is a single bit flip.
 
 from __future__ import annotations
 
+import gc
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
+
+# Clause-data lines that parse_dimacs tokenizes in one pass; bounds the
+# transient token and literal-code lists of a parse.
+CHUNK_LINES = 4096
 
 
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input."""
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its previous state.
+
+    For bulk builds of clauses, which form no reference cycles: without
+    the pause the collector re-scans the growing clause list many times
+    while it is built.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def lit_from_int(ext: int) -> int:
@@ -71,18 +94,25 @@ class Formula:
     def from_ints(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "Formula":
         """Build a formula from signed-integer clauses, normalizing each.
 
-        Tautological clauses are dropped, duplicate literals removed.
+        Tautological clauses are dropped, duplicate literals removed; a
+        literal of 0 or beyond num_vars raises DimacsError. The clauses
+        go through the same builder as parse_dimacs.
         """
-        out = cls(num_vars)
+        flat: list[int] = []
+        count = 0
         for raw in clauses:
-            lits = normalize_clause(list(raw))
-            if lits is None:
-                continue
-            for ext in lits:
-                if abs(ext) > num_vars:
-                    raise DimacsError(f"literal {ext} out of range (num_vars={num_vars})")
-            out.clauses.append(Clause([lit_from_int(x) for x in lits]))
-        return out
+            flat += raw
+            flat.append(0)
+            count += 1
+        if flat.count(0) != count:
+            raise DimacsError("literal 0 inside a clause")
+        builder = _ClauseBuilder(num_vars)
+        with gc_paused():
+            in_range = builder.add(flat)
+        if not in_range:
+            bad = next(x for x in flat if abs(x) > num_vars)
+            raise DimacsError(f"literal {bad} out of range (num_vars={num_vars})")
+        return cls(num_vars, builder.clauses)
 
 
 def normalize_clause(literals: list[int]) -> Optional[list[int]]:
@@ -102,15 +132,109 @@ def normalize_clause(literals: list[int]) -> Optional[list[int]]:
     return out
 
 
+class _ClauseBuilder:
+    """Turns signed DIMACS ints, 0 ending each clause, into the Clauses of
+    one formula; the one owner of normalizing, range checking and coding.
+
+    A clause may span `add` calls: the ints after the last 0 wait in
+    `pending`. A clause that repeats a variable goes through
+    normalize_clause; every other one is cut straight out of the codes.
+    Codes come from one table per formula, indexed by the signed int
+    (a negative int indexes from the end), so equal literals share one
+    int object. The table grows to the largest variable seen, but not
+    past the number of ints read, so a huge variable index costs no
+    table memory; ints beyond the table are coded one by one.
+    """
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.clauses: list[Clause] = []
+        self.read = 0  # clauses ended by a 0, dropped tautologies included
+        self.pending: list[int] = []
+        self._ints = 0
+        self._table = [-1]  # [unused, code(1) .. code(m), code(-m) .. code(-1)]
+
+    def add(self, vals: list[int]) -> bool:
+        """Append a Clause for each clause a 0 in `vals` ends. Returns
+        False, adding nothing, when some int is beyond num_vars."""
+        if not vals:
+            return True
+        if self.pending and 0 in vals:
+            vals = self.pending + vals
+        top = max(max(vals), -min(vals))
+        if top > self.num_vars:
+            return False
+        self._ints += len(vals)
+        if 0 not in vals:
+            self.pending += vals
+            return True
+        table = self._table
+        covered = len(table) >> 1
+        if covered < top <= self._ints:
+            table[covered + 1 : covered + 1] = [
+                *range(2 * covered, 2 * top, 2),
+                *range(2 * top - 1, 2 * covered, -2),
+            ]
+            covered = top
+        code = table.__getitem__ if top <= covered else lit_from_int
+        codes = list(map(code, vals))
+        variables = list(map(abs, vals))
+        append = self.clauses.append
+        index = vals.index
+        i = 0
+        try:
+            while True:
+                j = index(0, i)
+                if len(set(variables[i:j])) == j - i:
+                    append(Clause(codes[i:j]))
+                else:
+                    lits = normalize_clause(vals[i:j])
+                    if lits is not None:
+                        append(Clause(list(map(code, lits))))
+                i = j + 1
+        except ValueError:  # no 0 after i
+            self.pending = vals[i:]
+        self.read += vals.count(0)
+        return True
+
+
+def _raise_token_error(lines: list[str], start: int, stop: int, num_vars: int) -> None:
+    """Scan the clause-data lines lines[start:stop] one token at a time and
+    raise the DimacsError of the first bad token, with its line number."""
+    for lineno, line in enumerate(lines[start:stop], start=start + 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        for tok in stripped.split():
+            try:
+                val = int(tok)
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer token {tok!r}") from None
+            if abs(val) > num_vars:
+                raise DimacsError(
+                    f"line {lineno}: literal {val} out of range (num_vars={num_vars})"
+                )
+    raise AssertionError("no bad token in a chunk that failed")
+
+
 def parse_dimacs(source: Union[str, bytes, IO]) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
-    Accepts str, bytes, or a file-like object. Comment lines start with
-    'c'; a line consisting of '%' ends the input (SATLIB convention).
-    Clause-count mismatches with the header are tolerated with a warning;
-    out-of-range literals, non-integer tokens, a missing header, or an
-    unterminated final clause are errors. Tautologies are dropped,
-    duplicate literals removed, and an empty clause is kept as-is.
+    Accepts str, bytes (decoded as latin-1), or a file-like object.
+    Lines split as str.splitlines does and tokens as str.split does.
+    Comment lines start with 'c'; a line starting with '%' ends the input
+    (SATLIB convention). Clause-count mismatches with the header are
+    tolerated with a warning; out-of-range literals, non-integer tokens,
+    a missing header, or an unterminated final clause are errors.
+    Tautologies are dropped, duplicate literals removed, and an empty
+    clause is kept as-is.
+
+    Clause data is read CHUNK_LINES lines at a time: each chunk is
+    tokenized and converted by C-level passes (join, split, int,
+    min/max) and cut into clauses at its 0s. A chunk with a bad token is
+    scanned again one token at a time, so the error names the first bad
+    token and its line exactly as a token-at-a-time parser would. The
+    cyclic garbage collector is paused for the parse.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -119,63 +243,68 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> Formula:
     else:
         text = source
 
-    num_vars = -1
-    declared_clauses = -1
-    clauses: list[Clause] = []
-    raw_count = 0
-    pending: list[int] = []
+    with gc_paused():
+        lines = text.splitlines()
+        num_vars = -1
+        declared_clauses = -1
+        builder = _ClauseBuilder(0)
+        chunk: list[str] = []
+        start = 0  # index in lines where the chunk's line range begins
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("%"):
-            break
-        if stripped.startswith("p"):
-            if num_vars >= 0:
-                raise DimacsError(f"line {lineno}: duplicate header")
-            parts = stripped.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+        def add_chunk(stop: int) -> None:
+            nonlocal start
             try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                vals = list(map(int, " ".join(chunk).split()))
             except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer header counts") from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise DimacsError(f"line {lineno}: negative header counts")
-            continue
-        if num_vars < 0:
-            raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
-        for tok in stripped.split():
-            try:
-                val = int(tok)
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer token {tok!r}") from None
-            if val == 0:
-                raw_count += 1
-                lits = normalize_clause(pending)
-                pending = []
-                if lits is None:
+                vals = None
+            if vals is None or not builder.add(vals):
+                _raise_token_error(lines, start, stop, num_vars)
+            chunk.clear()
+            start = stop
+
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped[0] in "cp%":
+                if not stripped or stripped[0] == "c":
                     continue
-                clauses.append(Clause([lit_from_int(x) for x in lits]))
-            else:
-                if abs(val) > num_vars:
-                    raise DimacsError(
-                        f"line {lineno}: literal {val} out of range (num_vars={num_vars})"
-                    )
-                pending.append(val)
+                if chunk:
+                    add_chunk(lineno - 1)
+                if stripped[0] == "%":
+                    break
+                if num_vars >= 0:
+                    raise DimacsError(f"line {lineno}: duplicate header")
+                parts = stripped.split()
+                if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                    raise DimacsError(f"line {lineno}: malformed header {stripped!r}")
+                try:
+                    num_vars = int(parts[2])
+                    declared_clauses = int(parts[3])
+                except ValueError:
+                    raise DimacsError(f"line {lineno}: non-integer header counts") from None
+                if num_vars < 0 or declared_clauses < 0:
+                    raise DimacsError(f"line {lineno}: negative header counts")
+                builder = _ClauseBuilder(num_vars)
+                start = lineno
+                continue
+            if num_vars < 0:
+                raise DimacsError(f"line {lineno}: clause data before 'p cnf' header")
+            chunk.append(stripped)
+            if len(chunk) == CHUNK_LINES:
+                add_chunk(lineno)
+        else:
+            if chunk:
+                add_chunk(len(lines))
 
     if num_vars < 0:
         raise DimacsError("missing 'p cnf' header")
-    if pending:
+    if builder.pending:
         raise DimacsError("unterminated clause at end of input (missing 0)")
-    if raw_count != declared_clauses:
+    if builder.read != declared_clauses:
         warnings.warn(
-            f"header declares {declared_clauses} clauses but {raw_count} were read",
+            f"header declares {declared_clauses} clauses but {builder.read} were read",
             stacklevel=2,
         )
-    return Formula(num_vars, clauses)
+    return Formula(num_vars, builder.clauses)
 
 
 def to_dimacs(formula: Formula) -> str:

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .activity import ActivityTable
-from .formula import Clause, Formula, lit_to_int
+from .formula import Clause, Formula, gc_paused, lit_to_int
 from .glue import GLUE_LBD, GlueTracker
 from .metrics import MetricsCollector, MetricsReport, finalize_report
 from .proof import ProofWriter
@@ -92,9 +92,12 @@ class Solver:
     """One single-use CDCL solver instance over a parsed formula.
 
     The instance owns all mutable state; run independent instances for
-    concurrent solves. The input formula is never mutated (clauses are
-    copied, since propagation reorders watched literals in place). A
-    second solve() raises RuntimeError.
+    concurrent solves. The input formula is never mutated: construction
+    copies its clauses in order, since propagation reorders watched
+    literals in place, watching each copy of two or more literals and
+    enqueueing each unit in the same pass, with the cyclic garbage
+    collector paused (formula.gc_paused). A second solve() raises
+    RuntimeError.
     """
 
     def __init__(
@@ -107,33 +110,49 @@ class Solver:
         n = formula.num_vars
         self.num_vars = n
         self.proof = proof
-        self.glue = GlueTracker(n, bump_enabled=self.config.glue_bump)
-        self.metrics = MetricsCollector()
         self._solved = False
+        with gc_paused():
+            self.glue = GlueTracker(n, bump_enabled=self.config.glue_bump)
+            self.metrics = MetricsCollector()
 
-        # by literal code: 0 unassigned, 1 true, -1 false; value[lit ^ 1] == -value[lit]
-        self.value = [0] * (2 * n)
-        self.levels = [0] * n
-        self.reasons: list[Optional[Clause]] = [None] * n
-        self.phases = [False] * n
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.activities = ActivityTable(n)
-        for v in range(n):
-            self.activities.heap.insert(v)
+            # by literal code: 0 unassigned, 1 true, -1 false; value[lit ^ 1] == -value[lit]
+            self.value = [0] * (2 * n)
+            self.levels = [0] * n
+            self.reasons: list[Optional[Clause]] = [None] * n
+            self.phases = [False] * n
+            self.trail: list[int] = []
+            self.trail_lim: list[int] = []
+            self.qhead = 0
+            self.activities = ActivityTable(n)
+            for v in range(n):
+                self.activities.heap.insert(v)
 
-        self.watches: list[list[Clause]] = [[] for _ in range(2 * n)]
-        self.clauses: list[Clause] = []
-        self.learnts: list[Clause] = []
-        self.cla_inc = 1.0
-        self.learnt_limit = self.config.learnt_limit
-        self.restarts = 0
-        self.conflicts_since_restart = 0
-        self._root_conflict = False
+            self.watches: list[list[Clause]] = [[] for _ in range(2 * n)]
+            self.clauses: list[Clause] = []
+            self.learnts: list[Clause] = []
+            self.cla_inc = 1.0
+            self.learnt_limit = self.config.learnt_limit
+            self.restarts = 0
+            self.conflicts_since_restart = 0
+            self._root_conflict = False
 
-        for clause in formula.clauses:
-            self._add_original(clause)
+            # Copy the original clauses in order: watch each one of two or
+            # more literals, enqueue each unit, and note an empty or
+            # falsified one as a root conflict.
+            clauses = self.clauses
+            watches = self.watches
+            value = self.value
+            for original in formula.clauses:
+                lits = original.lits[:]
+                c = Clause(lits)
+                clauses.append(c)
+                if len(lits) > 1:
+                    watches[lits[0]].append(c)
+                    watches[lits[1]].append(c)
+                elif not lits or value[lits[0]] < 0:
+                    self._root_conflict = True
+                elif value[lits[0]] == 0:
+                    self._enqueue(lits[0], c)
 
     # ---- assignment primitives -------------------------------------------
 
@@ -166,23 +185,6 @@ class Solver:
     def _unwatch(self, clause: Clause) -> None:
         self.watches[clause.lits[0]].remove(clause)
         self.watches[clause.lits[1]].remove(clause)
-
-    def _add_original(self, clause: Clause) -> None:
-        lits = list(clause.lits)
-        if not lits:
-            self._root_conflict = True
-            self.clauses.append(Clause([]))
-            return
-        c = Clause(lits)
-        self.clauses.append(c)
-        if len(lits) == 1:
-            val = self.value[lits[0]]
-            if val < 0:
-                self._root_conflict = True
-            elif val == 0:
-                self._enqueue(lits[0], c)
-        else:
-            self._watch(c)
 
     # ---- propagation -----------------------------------------------------
 

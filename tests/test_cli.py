@@ -1,8 +1,10 @@
 import csv
 import io
+import time
 
 import pytest
 
+import gluesat.cli
 from gluesat.cli import EXIT_SAT, EXIT_UNKNOWN, EXIT_UNSAT, run_single
 from gluesat.formula import to_dimacs
 from gluesat.gen import pigeonhole, random_ksat
@@ -116,6 +118,22 @@ def test_timeout_must_be_finite_and_positive(tmp_path, timeout):
     with pytest.raises(SystemExit) as exc:
         run([path, "--timeout", timeout])
     assert exc.value.code == 2
+
+
+def test_timeout_counts_parsing(tmp_path, monkeypatch):
+    # a parse that takes longer than the whole budget leaves the solver none
+    parse = gluesat.cli.parse_dimacs
+
+    def slow_parse(source):
+        time.sleep(0.3)
+        return parse(source)
+
+    monkeypatch.setattr(gluesat.cli, "parse_dimacs", slow_parse)
+    path = write_cnf(tmp_path, "php.cnf", to_dimacs(pigeonhole(5)))
+    code, out, _ = run([path, "--timeout", "0.1"])
+    assert code == EXIT_UNKNOWN
+    assert "s UNKNOWN" in out.splitlines()
+    assert " conflicts 0 " in out
 
 
 @pytest.mark.parametrize("max_conflicts", ["0", "-3"])

@@ -1,5 +1,7 @@
+import gc
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,8 @@ from gluesat.formula import (
     to_dimacs,
 )
 from gluesat.gen import parity_chain, pigeonhole, random_ksat
+from gluesat.solver import Solver
+from oracles import parse_dimacs_reference
 
 
 def clause_ints(formula):
@@ -120,8 +124,52 @@ def test_normalize_clause_examples():
 
 
 def test_formula_from_ints_checks_range():
-    with pytest.raises(DimacsError):
+    with pytest.raises(DimacsError, match=r"^literal 3 out of range \(num_vars=2\)$"):
         Formula.from_ints(2, [[3]])
+    with pytest.raises(DimacsError, match="literal -5 out of range"):
+        Formula.from_ints(2, [[1, -1], [2, -5, 2]])
+    with pytest.raises(DimacsError, match="literal 0"):
+        Formula.from_ints(2, [[1, 0, 2]])
+
+
+def test_formula_from_ints_normalizes_like_parse_dimacs():
+    clauses = [[1, -2], [2, 2, -3], [3, -3], [], [-1]]
+    f = Formula.from_ints(3, clauses)
+    assert clause_ints(f) == [[1, -2], [2, -3], [], [-1]]
+    text = "p cnf 3 5\n" + "".join(" ".join(map(str, c + [0])) + "\n" for c in clauses)
+    assert f == parse_dimacs(text)
+
+
+def test_huge_variable_index_costs_no_table_memory():
+    text = "p cnf 4000000000 2\n-3999999999 1 0\n3999999999 -1 1 0\n"
+    tracemalloc.start()
+    try:
+        f = parse_dimacs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert f == parse_dimacs_reference(text)
+    assert f.clauses[0].lits == [2 * 3999999998 + 1, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_and_solver_leave_the_collector_as_found(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        assert gc.isenabled() is enabled
+        with pytest.raises(DimacsError):
+            parse_dimacs("p cnf 3 2\n1 -2 0\n2 x 0\n")
+        assert gc.isenabled() is enabled
+        with pytest.raises(DimacsError):
+            Formula.from_ints(3, [[4]])
+        assert gc.isenabled() is enabled
+        Solver(f)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_round_trip_identity():

@@ -7,10 +7,12 @@ from __future__ import annotations
 import io
 import random
 import warnings
+from unittest import mock
 
 from hypothesis import given, strategies as st
 
-from gluesat.formula import DimacsError, Formula, parse_dimacs, to_dimacs
+import gluesat.formula
+from gluesat.formula import CHUNK_LINES, DimacsError, Formula, parse_dimacs, to_dimacs
 from gluesat.gen import parity_chain, parity_contradiction, pigeonhole
 from gluesat.proof import ADD, DELETE, ProofWriter, check_rup, parse_drat
 from gluesat.solver import SolverConfig, Verdict
@@ -149,10 +151,27 @@ def parse_outcome(parse, data: bytes):
     return f.num_vars, [c.lits for c in f.clauses], [str(w.message) for w in caught]
 
 
-@given(small_formulas(), DIMACS_EDITS)
-def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, edits):
-    data = mutate(to_dimacs(formula).encode(), edits)
-    assert parse_outcome(parse_dimacs, data) == parse_outcome(parse_dimacs_reference, data)
+def reflow(text: str, per_line: int) -> str:
+    """DIMACS text with its clause tokens rebroken `per_line` to a line,
+    so clauses span lines and lines hold several clauses."""
+    header, body = text.split("\n", 1)
+    toks = body.split()
+    rows = [" ".join(toks[k : k + per_line]) for k in range(0, len(toks), per_line)]
+    return "\n".join([header, *rows, ""])
+
+
+@given(
+    small_formulas(),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 3, CHUNK_LINES]),
+    DIMACS_EDITS,
+)
+def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, per_line, chunk_lines, edits):
+    """Small chunks make clauses span chunks and put bad tokens at chunk edges."""
+    text = to_dimacs(formula)
+    data = mutate((reflow(text, per_line) if per_line else text).encode(), edits)
+    with mock.patch.object(gluesat.formula, "CHUNK_LINES", chunk_lines):
+        assert parse_outcome(parse_dimacs, data) == parse_outcome(parse_dimacs_reference, data)
 
 
 PROOF_LINES = st.lists(

@@ -193,6 +193,16 @@ def test_proofs_with_deletions_verify():
     assert check_rup(f, proof) is True
 
 
+def test_php_8_7_baseline_proof_checks():
+    # PHP(8,7) is the largest proof in the suite: 4,643 conflicts under
+    # `baseline`, a few seconds to solve and check.
+    f = pigeonhole(7)
+    result, proof = solve_with_proof(f, glue_bump=False)
+    assert result.verdict is Verdict.UNSAT
+    assert result.counters.conflicts == 4643
+    assert check_rup(f, proof) is True
+
+
 def mutate_one_literal(events, rng):
     """Flip the sign of one random literal in a random add event."""
     add_positions = [
