@@ -107,9 +107,7 @@ class Formula:
         if flat.count(0) != count:
             raise DimacsError("literal 0 inside a clause")
         builder = _ClauseBuilder(num_vars)
-        with gc_paused():
-            in_range = builder.add(flat)
-        if not in_range:
+        if not builder.add(flat):
             bad = next(x for x in flat if abs(x) > num_vars)
             raise DimacsError(f"literal {bad} out of range (num_vars={num_vars})")
         return cls(num_vars, builder.clauses)

@@ -163,9 +163,6 @@ def test_parse_and_solver_leave_the_collector_as_found(enabled):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 3 2\n1 -2 0\n2 x 0\n")
         assert gc.isenabled() is enabled
-        with pytest.raises(DimacsError):
-            Formula.from_ints(3, [[4]])
-        assert gc.isenabled() is enabled
         Solver(f)
         assert gc.isenabled() is enabled
     finally:
