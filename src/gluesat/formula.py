@@ -289,9 +289,8 @@ def parse_dimacs(source: Union[str, bytes, IO]) -> Formula:
             chunk.append(stripped)
             if len(chunk) == CHUNK_LINES:
                 add_chunk(lineno)
-        else:
-            if chunk:
-                add_chunk(len(lines))
+        if chunk:
+            add_chunk(len(lines))
 
     if num_vars < 0:
         raise DimacsError("missing 'p cnf' header")
