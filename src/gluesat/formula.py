@@ -157,12 +157,12 @@ class _ClauseBuilder:
         False, adding nothing, when some int is beyond num_vars."""
         if not vals:
             return True
+        self._ints += len(vals)
         if self.pending and 0 in vals:
             vals = self.pending + vals
         top = max(max(vals), -min(vals))
         if top > self.num_vars:
             return False
-        self._ints += len(vals)
         if 0 not in vals:
             self.pending += vals
             return True

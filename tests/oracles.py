@@ -298,9 +298,8 @@ def replay_activity_log(
 def parse_dimacs_reference(source: Union[str, bytes, IO]) -> Formula:
     """Parse DIMACS CNF text into a Formula, one token at a time.
 
-    The reference `parse_dimacs` must agree with on every input: the
-    same Formula, the same warning text, or a DimacsError with the same
-    message.
+    `parse_dimacs` must agree with it on every input: the same Formula
+    and warning text, or a DimacsError with the same message.
     """
     if hasattr(source, "read"):
         source = source.read()
