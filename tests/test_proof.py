@@ -11,6 +11,7 @@ from gluesat.proof import (
     DELETE,
     ProofEvent,
     ProofWriter,
+    _ClauseDb,
     check_rup,
     parse_drat,
 )
@@ -161,6 +162,60 @@ def test_repeated_literal_still_propagates():
     assert check_rup(f, "1 1 2 0\nd 2 1 1 0\n0\n") is False
 
 
+def test_delete_reaches_the_array_that_watches_the_clause():
+    # (1 2) is a formula clause and is re-added as the lemma (2 1); the
+    # lemma 3 needs (1 2), and the empty clause then follows from 3
+    f = parse_dimacs("p cnf 4 5\n1 2 0\n-1 3 0\n-2 3 0\n-3 4 0\n-3 -4 0\n")
+    assert check_rup(f, "2 1 0\nd 1 2 0\n3 0\n0\n") is True
+    assert check_rup(f, "2 1 0\nd 1 2 0\nd 1 2 0\n3 0\n0\n") is False
+
+    db = _ClauseDb(4)
+    db.add([1, 2], lemma=False)
+    db.add([2, 1], lemma=True)
+    assert sum(map(len, db.formula_watches)) == sum(map(len, db.lemma_watches)) == 2
+    db.delete([1, 2])  # the last added copy goes: the lemma
+    assert not any(db.lemma_watches)
+    assert sum(map(len, db.formula_watches)) == 2
+    assert db.propagates_to_conflict([-1, -2]) is True
+    db.delete([2, 1])
+    assert not any(db.formula_watches)
+    assert db.propagates_to_conflict([-1, -2]) is False
+
+
+# (-1 2) is derived as a lemma and the formula clauses that gave it are
+# deleted, so 1 implies 2 only through the lemma array
+LEMMA_THEN_FORMULA = "-1 2 0\nd -1 2 3 0\nd -1 2 -3 0\n-1 0\n0\n"
+
+
+def test_lemma_implication_sends_the_check_back_to_formula_clauses():
+    # assuming 1: the formula is at fixpoint, the lemma implies 2, and
+    # only then does the formula pair (-2 4), (-2 -4) conflict
+    f = parse_dimacs(
+        "p cnf 5 6\n-1 2 3 0\n-1 2 -3 0\n-2 4 0\n-2 -4 0\n1 5 0\n1 -5 0\n")
+    assert check_rup(f, LEMMA_THEN_FORMULA) is True
+    assert rup_reference(f, parse_drat(LEMMA_THEN_FORMULA)) is True
+
+
+def test_non_rup_lemma_is_rejected_after_both_arrays_reach_fixpoint():
+    # as above, but (-2 -4 6) lets 2 and 4 stand: after the lemma step
+    # the formula propagates 4 and 6 and nothing conflicts, so -1 is not RUP
+    f = parse_dimacs(
+        "p cnf 6 6\n-1 2 3 0\n-1 2 -3 0\n-2 4 0\n-2 -4 6 0\n1 5 0\n1 -5 0\n")
+    assert check_rup(f, LEMMA_THEN_FORMULA) is False
+    assert rup_reference(f, parse_drat(LEMMA_THEN_FORMULA)) is False
+
+    db = _ClauseDb(7)
+    for c in ([-2, 4], [-2, -4, 6]):
+        db.add(c, lemma=False)
+    db.add([-1, 2], lemma=True)
+    db.add([-6, -1, -7], lemma=True)  # fires only after the formula step
+    assert db.propagates_to_conflict([1]) is False
+    assert not any(db.value)  # every assignment undone
+    db.add([7, -6], lemma=False)  # 6 -> 7 now meets the lemma's -7
+    assert db.propagates_to_conflict([1]) is True
+    assert not any(db.value)
+
+
 def test_solver_proofs_verify_on_mixed_corpus():
     instances = [
         pigeonhole(3),
@@ -264,7 +319,7 @@ def test_check_rup_matches_reference_on_adversarial_proofs(data):
     spliced in; whatever it accepts is also a semantically valid proof."""
     n = data.draw(st.integers(1, 10), label="num_vars")
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clause = st.lists(lit, min_size=min(n, 2), max_size=3, unique_by=abs)
+    clause = st.lists(lit, min_size=min(n, 2), max_size=5, unique_by=abs)
     m = data.draw(st.integers(0, 6 * n), label="num_clauses")
     formula = Formula.from_ints(n, data.draw(st.lists(clause, min_size=m, max_size=m)))
     _, proof = solve_with_proof(
