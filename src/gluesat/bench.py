@@ -13,8 +13,6 @@ instances). A cumulative series of solved(gb, <=t) - solved(baseline,
 
 from __future__ import annotations
 
-import argparse
-import csv
 import multiprocessing as mp
 import os
 import sys
@@ -22,15 +20,19 @@ import time
 import warnings
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from copy import copy
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
-from .cli import output_clash, positive_count, positive_seconds
 from .formula import parse_dimacs
 from .metrics import STATS_COLUMNS, MetricsReport
 from .solver import Solver, SolverConfig
+
+# argparse, csv and .cli are imported where they are used, so that
+# importing the harness as a library loads none of them.
+if TYPE_CHECKING:
+    import argparse
 
 SOLVED_VERDICTS = ("SATISFIABLE", "UNSATISFIABLE")
 HARD_KILL_GRACE_S = 5.0
@@ -43,8 +45,7 @@ SUMMARY_CSV_HEADER = ["config", "solved_sat", "solved_unsat", "par2_sum_s"]
 SERIES_CSV_HEADER = ["time_s", "solved_diff"]
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
     instance: str
     config: str
     verdict: str  # SATISFIABLE / UNSATISFIABLE / UNKNOWN / ERROR
@@ -70,16 +71,14 @@ class RunRecord:
         ]
 
 
-@dataclass
-class Par2Summary:
+class Par2Summary(NamedTuple):
     config: str
     solved_sat: int
     solved_unsat: int
     par2_s: float
 
 
-@dataclass
-class CorpusResult:
+class CorpusResult(NamedTuple):
     records: list[RunRecord]
     summaries: list[Par2Summary]
     series: list[tuple[float, int]]
@@ -153,7 +152,8 @@ def run_corpus(
                 warnings.warn(f"missing instance {inst}: excluded from PAR-2")
                 records.append(RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file"))
                 continue
-            cfg = replace(configs[name], time_limit_s=timeout_s)
+            cfg = copy(configs[name])
+            cfg.time_limit_s = timeout_s
             conn, child_conn = mp.Pipe(duplex=False)
             proc = mp.Process(target=_solve_worker, args=(child_conn, inst, name, cfg))
             proc.start()
@@ -241,6 +241,8 @@ def solved_diff_series(
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -266,6 +268,10 @@ def write_series_csv(path: str | Path, series: Sequence[tuple[float, int]]) -> N
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from .cli import positive_count, positive_seconds
+
     ap = argparse.ArgumentParser(
         prog="gluesat-bench",
         description="A/B benchmark harness (baseline vs glue-bump) with PAR-2 scoring",
@@ -291,6 +297,8 @@ def _fail(message: object) -> NoReturn:
 
 
 def main(argv: Optional[list[str]] = None) -> None:
+    from .cli import output_clash
+
     args = build_arg_parser().parse_args(argv)
     all_configs = default_configs(max_conflicts=args.max_conflicts)
     names = [n.strip() for n in args.configs.split(",") if n.strip()]

@@ -8,7 +8,6 @@ respectively; input or parse failures exit 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -75,6 +74,8 @@ def config_from_args(args: argparse.Namespace) -> SolverConfig:
 
 
 def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> None:
+    import csv  # only runs that ask for --stats-csv load the module
+
     w = csv.writer(fh)
     w.writerow(STATS_CSV_HEADER)
     w.writerow(report.csv_row(instance, verdict, wall))

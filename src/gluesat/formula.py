@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 
 # Clause-data lines that parse_dimacs tokenizes in one pass; bounds the
@@ -51,7 +50,6 @@ def lit_to_int(lit: int) -> int:
     return v if (lit & 1) == 0 else -v
 
 
-@dataclass(eq=False, slots=True)
 class Clause:
     """A clause over internal literal codes.
 
@@ -60,9 +58,12 @@ class Clause:
     clause is glue is decided from it by GlueTracker.is_glue_lbd.
     """
 
-    lits: list[int]
-    lbd: int = 0
-    activity: float = 0.0
+    __slots__ = ("lits", "lbd", "activity")
+
+    def __init__(self, lits: list[int], lbd: int = 0, activity: float = 0.0):
+        self.lits = lits
+        self.lbd = lbd
+        self.activity = activity
 
     def to_ints(self) -> list[int]:
         return [lit_to_int(l) for l in self.lits]
@@ -72,7 +73,6 @@ class Clause:
         return f"Clause({self.to_ints()}{tag} lbd={self.lbd})"
 
 
-@dataclass(eq=False)
 class Formula:
     """A parsed CNF: a variable count and a clause list.
 
@@ -80,8 +80,14 @@ class Formula:
     is what the DIMACS round-trip guarantee is stated over.
     """
 
-    num_vars: int
-    clauses: list[Clause] = field(default_factory=list)
+    __slots__ = ("num_vars", "clauses")
+
+    def __init__(self, num_vars: int, clauses: Optional[list[Clause]] = None):
+        self.num_vars = num_vars
+        self.clauses = [] if clauses is None else clauses
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Formula(num_vars={self.num_vars!r}, clauses={self.clauses!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Formula):

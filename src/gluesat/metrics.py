@@ -17,12 +17,7 @@ empty CSV cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-GLUE = "glue"
-NONGLUE = "nonglue"
-PREAMBLE = "preamble"
+from typing import NamedTuple, Optional, Sequence
 
 STATS_CSV_VERSION = 1
 # The MetricsReport fields that make up a stats row, in column order.
@@ -47,22 +42,31 @@ STATS_COLUMNS = [
 STATS_CSV_HEADER = ["instance", "verdict", "wall_time_s"] + STATS_COLUMNS
 
 
-@dataclass
 class ClassCounters:
     """Counters for one decision class (or the preamble bucket)."""
 
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    lbd_sum: int = 0
-    lbd_count: int = 0
+    __slots__ = ("decisions", "propagations", "conflicts", "lbd_sum", "lbd_count")
+
+    def __init__(
+        self,
+        decisions: int = 0,
+        propagations: int = 0,
+        conflicts: int = 0,
+        lbd_sum: int = 0,
+        lbd_count: int = 0,
+    ):
+        self.decisions = decisions
+        self.propagations = propagations
+        self.conflicts = conflicts
+        self.lbd_sum = lbd_sum
+        self.lbd_count = lbd_count
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """A solve's one record of totals: the search totals (decisions,
     propagations, conflicts, glue clauses) that `Solver.counters` and
-    `SolveResult.counters` return, and the per-class metrics."""
+    `SolveResult.counters` return, and the per-class metrics. Immutable:
+    derive a changed copy with `_replace`."""
 
     decisions: int = 0
     propagations: int = 0
@@ -84,7 +88,7 @@ class MetricsReport:
     num_vars: int = 0
     # (conflict count, glue fraction) samples, one per restart;
     # figure-style output, not part of the CSV row.
-    gf_series: list[tuple[int, float]] = field(default_factory=list)
+    gf_series: Sequence[tuple[int, float]] = ()
 
     def csv_cells(self) -> list[str]:
         """The STATS_COLUMNS cells; None becomes an empty cell."""

@@ -24,8 +24,7 @@ _ClauseDb).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 from .formula import Formula
 
@@ -35,8 +34,7 @@ DELETE = "delete"
 _Watches = list[list[list[int]]]  # code -> clauses watching it
 
 
-@dataclass
-class ProofEvent:
+class ProofEvent(NamedTuple):
     """One parsed proof line, as parse_drat returns and check_rup reads it."""
 
     kind: str  # ADD or DELETE
@@ -229,7 +227,7 @@ def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool
     it are not checked. A text proof is still parsed whole first, so a
     malformed line anywhere raises ValueError."""
     events = parse_drat(proof) if isinstance(proof, str) else list(proof)
-    max_var = max([formula.num_vars] + [abs(l) for ev in events for l in ev.lits])
+    max_var = max(formula.num_vars, max((abs(l) for ev in events for l in ev.lits), default=0))
 
     db = _ClauseDb(max_var)
     for clause in formula.clauses:

@@ -24,9 +24,8 @@ round — it can truncate a run but never reorders heuristic state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .activity import ActivityTable
 from .formula import Clause, Formula, gc_paused, lit_to_int
@@ -70,17 +69,36 @@ class Verdict(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass
 class SolverConfig:
-    glue_bump: bool = False
-    learnt_limit: int = 2000
-    learnt_limit_growth: int = 300
-    max_conflicts: Optional[int] = None
-    time_limit_s: Optional[float] = None
+    """Search options. Mutable: the CLI sets `time_limit_s` once the
+    solver is built, from what its whole-run budget has left."""
+
+    __slots__ = (
+        "glue_bump", "learnt_limit", "learnt_limit_growth", "max_conflicts", "time_limit_s"
+    )
+
+    def __init__(
+        self,
+        glue_bump: bool = False,
+        learnt_limit: int = 2000,
+        learnt_limit_growth: int = 300,
+        max_conflicts: Optional[int] = None,
+        time_limit_s: Optional[float] = None,
+    ):
+        self.glue_bump = glue_bump
+        self.learnt_limit = learnt_limit
+        self.learnt_limit_growth = learnt_limit_growth
+        self.max_conflicts = max_conflicts
+        self.time_limit_s = time_limit_s
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SolverConfig({fields})"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
+    """One solve's outcome. Immutable: derive a changed copy with `_replace`."""
+
     verdict: Verdict
     model: Optional[list[int]]  # signed DIMACS literals, one per variable
     counters: MetricsReport  # search totals and per-class metrics

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +145,25 @@ def test_proof_variables_beyond_formula_range():
     f = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n")
     assert check_rup(f, "7 0\n") is False
     assert check_rup(f, "2 0\n-7 7 0\n0\n") is False  # still no refutation
+
+
+def test_sizing_the_checker_keeps_no_copy_of_the_proof_literals():
+    # 40,000 lemmas x 12 literals over 5,000 variables, half of them
+    # negative; the first lemma is not RUP, so the check stops there and
+    # its peak is sizing plus the empty clause database (~1.6 MB). A list
+    # of every |literal| held while sizing would add ~13 MB.
+    n, width = 5000, 12
+    events = []
+    for i in range(40_000):
+        variables = [(i * width + j) % n + 1 for j in range(width)]  # distinct in a lemma
+        events.append(ProofEvent(ADD, [v if j % 2 else -v for j, v in enumerate(variables)]))
+    tracemalloc.start()
+    try:
+        assert check_rup(Formula(n), events) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"check_rup peak {peak / 2**20:.1f} MB"
 
 
 def test_deleting_a_needed_clause_breaks_the_proof():
