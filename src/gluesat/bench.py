@@ -20,7 +20,6 @@ import time
 import warnings
 from bisect import bisect_right
 from collections import deque
-from copy import copy
 from multiprocessing.connection import wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Optional, Sequence
@@ -105,15 +104,15 @@ def read_manifest(path: str | Path) -> list[str]:
     return out
 
 
-def _solve_worker(conn, inst: str, name: str, config: SolverConfig) -> None:
-    """Solve one instance and send its RunRecord; the config's time limit
-    is the run's timeout."""
-    timeout_s = config.time_limit_s
+def _solve_worker(conn, inst: str, name: str, config: SolverConfig, timeout_s: float) -> None:
+    """Solve one instance and send its RunRecord; the solver's budget of
+    timeout_s starts when its search does."""
     t0 = time.perf_counter()
     try:
         with open(inst, "rb") as fh:
             formula = parse_dimacs(fh)
-        result = Solver(formula, config).solve()
+        solver = Solver(formula, config)
+        result = solver.solve(time.perf_counter() + timeout_s)
         record = RunRecord(
             inst, name, result.verdict.value, result.elapsed_s, timeout_s, result.counters
         )
@@ -152,10 +151,10 @@ def run_corpus(
                 warnings.warn(f"missing instance {inst}: excluded from PAR-2")
                 records.append(RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file"))
                 continue
-            cfg = copy(configs[name])
-            cfg.time_limit_s = timeout_s
             conn, child_conn = mp.Pipe(duplex=False)
-            proc = mp.Process(target=_solve_worker, args=(child_conn, inst, name, cfg))
+            proc = mp.Process(
+                target=_solve_worker, args=(child_conn, inst, name, configs[name], timeout_s)
+            )
             proc.start()
             child_conn.close()
             running[conn] = (proc, inst, name, time.monotonic())

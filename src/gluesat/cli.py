@@ -67,9 +67,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> SolverConfig:
-    """The solver options the arguments ask for. The time budget is not
-    among them: run_single sets it from what --timeout has left once
-    the input is parsed and the solver built."""
+    """The search options the arguments ask for. --timeout is not among
+    them: run_single turns it into the deadline it passes to solve()."""
     return SolverConfig(glue_bump=args.glue_bump == "on", max_conflicts=args.max_conflicts)
 
 
@@ -136,13 +135,11 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
             print(f"error: {e}", file=err)
             return EXIT_ERROR
         proof = ProofWriter(proof_fh) if proof_fh is not None else None
-        config = config_from_args(args)
-        solver = Solver(formula, config, proof=proof)
-        if args.timeout is not None:
-            # The solver gets what parsing and setup left; at <= 0 it
-            # stops before its first propagation.
-            config.time_limit_s = args.timeout - (time.perf_counter() - started)
-        result = solver.solve()
+        solver = Solver(formula, config_from_args(args), proof=proof)
+        # Parsing and setup spend the same budget; a deadline already
+        # past stops the solver before its first propagation.
+        deadline = None if args.timeout is None else started + args.timeout
+        result = solver.solve(deadline)
         if stats_fh is not None:
             write_stats_csv(
                 stats_fh, args.cnf, result.verdict.value, result.elapsed_s, result.counters

@@ -55,7 +55,7 @@ class Clause:
 
     `lbd` is 0 for an original clause and at least 1 for a learnt one,
     so it also says whether the clause was learnt; whether a learnt
-    clause is glue is decided from it by GlueTracker.is_glue_lbd.
+    clause is glue when its lbd is exactly glue.GLUE_LBD.
     """
 
     __slots__ = ("lits", "lbd", "activity")

@@ -37,22 +37,17 @@ class GlueTracker:
         self.glue_clause_count = 0
         self.glue_var_count = 0
 
-    def is_glue_lbd(self, lbd: int) -> bool:
-        """Whether a learnt clause with this LBD counts as glue: exactly
-        GLUE_LBD. Unit clauses (lbd 1) never count."""
-        return lbd == GLUE_LBD
-
     def is_glue_var(self, var: int) -> bool:
         return self.glue_level[var] > 0
 
     def on_glue_clause_learned(self, clause: Clause) -> None:
         """Raise the glue level of every variable in a new glue clause.
 
-        The caller must pass only learnt clauses whose LBD passes
-        `is_glue_lbd`; the clause is not checked here. Called after the
-        clause is learnt and attached but before the asserting literal is
-        assigned, so the levels are current by the time that assignment
-        is later undone.
+        The caller must pass only learnt clauses whose LBD is exactly
+        GLUE_LBD (unit clauses, LBD 1, never count); the clause is not
+        checked here. Called after the clause is learnt and attached but
+        before the asserting literal is assigned, so the levels are
+        current by the time that assignment is later undone.
         """
         for lit in clause.lits:
             v = lit >> 1

@@ -17,8 +17,9 @@ phases stay indexed by variable.
 
 Determinism: for a fixed formula and config the run is bit-reproducible.
 Ties in branching go to the lowest variable index, the default phase is
-False, and the wall-clock budget is checked before every propagation
-round — it can truncate a run but never reorders heuristic state.
+False, and the deadline passed to `solve()` is checked before every
+propagation round — it can truncate a run but never reorders heuristic
+state.
 """
 
 from __future__ import annotations
@@ -69,31 +70,14 @@ class Verdict(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-class SolverConfig:
-    """Search options. Mutable: the CLI sets `time_limit_s` once the
-    solver is built, from what its whole-run budget has left."""
+class SolverConfig(NamedTuple):
+    """Search options. Immutable: derive a changed copy with `_replace`.
+    The time budget is not among them; it is the `deadline` of a solve."""
 
-    __slots__ = (
-        "glue_bump", "learnt_limit", "learnt_limit_growth", "max_conflicts", "time_limit_s"
-    )
-
-    def __init__(
-        self,
-        glue_bump: bool = False,
-        learnt_limit: int = 2000,
-        learnt_limit_growth: int = 300,
-        max_conflicts: Optional[int] = None,
-        time_limit_s: Optional[float] = None,
-    ):
-        self.glue_bump = glue_bump
-        self.learnt_limit = learnt_limit
-        self.learnt_limit_growth = learnt_limit_growth
-        self.max_conflicts = max_conflicts
-        self.time_limit_s = time_limit_s
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"SolverConfig({fields})"
+    glue_bump: bool = False
+    learnt_limit: int = 2000
+    learnt_limit_growth: int = 300
+    max_conflicts: Optional[int] = None
 
 
 class SolveResult(NamedTuple):
@@ -409,12 +393,13 @@ class Solver:
         (LBD ascending, activity descending) and the bottom half goes,
         each deletion logged to the proof. Grows the reduction limit.
         """
-        locked = {
-            id(self.reasons[lit >> 1])
-            for lit in self.trail
-            if self.reasons[lit >> 1] is not None
-        }
-        candidates = [c for c in self.learnts if c.lbd > GLUE_LBD and id(c) not in locked]
+        reasons = self.reasons
+        # A reason clause keeps its implied literal at lits[0] (MiniSat's
+        # locked()): propagate and the asserting learnt put it there, and
+        # only a false lits[0] is ever swapped away.
+        candidates = [
+            c for c in self.learnts if c.lbd > GLUE_LBD and reasons[c.lits[0] >> 1] is not c
+        ]
         candidates.sort(key=lambda c: (c.lbd, -c.activity))
         doomed = candidates[len(candidates) - len(candidates) // 2 :]
         doomed_ids = {id(c) for c in doomed}
@@ -443,7 +428,11 @@ class Solver:
 
     # ---- main loop ---------------------------------------------------------
 
-    def solve(self) -> SolveResult:
+    def solve(self, deadline: Optional[float] = None) -> SolveResult:
+        """Search until a verdict, the conflict budget or `deadline`: an
+        absolute time.perf_counter() value, checked before every
+        propagation round, so one already past stops the search before
+        its first propagation."""
         if self._solved:
             raise RuntimeError("Solver is single-use: solve() was already called")
         self._solved = True
@@ -451,7 +440,6 @@ class Solver:
         cfg = self.config
         verdict = Verdict.UNKNOWN
         model: Optional[list[int]] = None
-        deadline = None if cfg.time_limit_s is None else t_start + cfg.time_limit_s
 
         while not self._root_conflict:
             if deadline is not None and time.perf_counter() >= deadline:
@@ -466,7 +454,7 @@ class Solver:
                 self.metrics.record_conflict(lbd)
                 self.backtrack(assertion_level)
                 clause = self._attach_learnt(lits, lbd)
-                if self.glue.is_glue_lbd(lbd):
+                if lbd == GLUE_LBD:
                     self.glue.on_glue_clause_learned(clause)
                 self._enqueue(lits[0], clause)
                 self.activities.decay()

@@ -47,6 +47,18 @@ def assignment_consistent(solver: Solver) -> bool:
     return all((value[2 * v] != 0) == (v in on_trail) for v in range(solver.num_vars))
 
 
+def reasons_imply_first(solver: Solver) -> bool:
+    """Reason invariant that reduce_db's locked test relies on: every
+    literal on the trail with a reason clause sits at that clause's
+    lits[0]."""
+    reasons = solver.reasons
+    for lit in solver.trail:
+        reason = reasons[lit >> 1]
+        if reason is not None and reason.lits[0] != lit:
+            return False
+    return True
+
+
 def literal_values(var_values: list[int]) -> list[int]:
     """A literal-indexed value array (as `Solver.value`) from per-variable
     values: x at 2v and -x at 2v + 1."""
@@ -82,8 +94,8 @@ def unassigned_argmax(solver: Solver) -> int:
 class InstrumentedSolver(Solver):
     """Solver that audits its own invariants while running.
 
-    - checks the watched-literal and assignment invariants after every
-      clean propagate()
+    - checks the watched-literal, assignment and reason invariants after
+      every clean propagate()
     - checks that every learnt clause has exactly one literal at the
       conflict level
     - independently recounts reason-bearing assignments and
@@ -113,6 +125,7 @@ class InstrumentedSolver(Solver):
         if confl is None and self.check_watches:
             assert watches_consistent(self), "watched-literal invariant broken"
             assert assignment_consistent(self), "assignment array invariant broken"
+            assert reasons_imply_first(self), "a reason's implied literal is not lits[0]"
         return confl
 
     def decide(self):

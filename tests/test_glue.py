@@ -45,9 +45,11 @@ def test_duplicate_clause_still_counts():
 
 
 def test_only_lbd_two_is_glue():
-    t = GlueTracker(3)
-    assert t.is_glue_lbd(2)
-    assert not any(t.is_glue_lbd(lbd) for lbd in (1, 3, 4))
+    s = InstrumentedSolver(random_ksat(60, 256, seed=4))
+    s.solve()
+    lbds = [lbd for *_, lbd, _ in s.learn_events]
+    assert 1 in lbds and 2 in lbds and max(lbds) > 2
+    assert s.counters.glue_clauses == lbds.count(2)
 
 
 def test_levels_match_occurrence_recount_over_random_sequence():

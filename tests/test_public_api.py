@@ -1,6 +1,8 @@
 """The package's public surface: the exported names, and the names that
 were deleted and must not come back."""
 
+import pytest
+
 import gluesat
 from gluesat import bench, formula, metrics, solver
 from gluesat.formula import Clause, Formula
@@ -55,3 +57,15 @@ def test_deleted_names_are_gone():
     for name in ("GLUE", "NONGLUE", "PREAMBLE"):  # defined and never read
         assert not hasattr(metrics, name), name
     assert not hasattr(solver.Solver(Formula(1)), "formula")
+
+
+def test_solver_config_is_four_immutable_search_options():
+    # the time budget is solve()'s deadline, not a config field
+    assert solver.SolverConfig._fields == (
+        "glue_bump", "learnt_limit", "learnt_limit_growth", "max_conflicts"
+    )
+    cfg = solver.SolverConfig()
+    with pytest.raises(AttributeError):
+        cfg.max_conflicts = 5
+    assert cfg._replace(max_conflicts=5).max_conflicts == 5
+    assert cfg.max_conflicts is None

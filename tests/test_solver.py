@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -460,8 +461,8 @@ def test_reduce_db_deletes_worse_half_of_candidates():
     s = Solver(Formula(12, []))
     glue1 = _fabricate_learnt(s, [1, 2], 2)
     glue2 = _fabricate_learnt(s, [3, 4], 2)
-    reason1 = _fabricate_learnt(s, [5, 6], 4)
-    reason2 = _fabricate_learnt(s, [7, 8], 5)
+    reason1 = _fabricate_learnt(s, [12, -11], 4)
+    reason2 = _fabricate_learnt(s, [8, -11], 5)
     deletable = [
         _fabricate_learnt(s, [1, 9], 3, activity=6.0),
         _fabricate_learnt(s, [2, 10], 3, activity=5.0),
@@ -470,10 +471,10 @@ def test_reduce_db_deletes_worse_half_of_candidates():
         _fabricate_learnt(s, [5, 9], 6, activity=2.0),
         _fabricate_learnt(s, [6, 10], 7, activity=1.0),
     ]
-    # park reason1/reason2 on the trail
+    # park reason1/reason2 on the trail, each implying its first literal
     force_decision(s, 11)
-    s._enqueue(2 * 11, reason1)  # x12 with reason
-    s.reasons[10] = reason2
+    s._enqueue(reason1.lits[0], reason1)  # x12
+    s._enqueue(reason2.lits[0], reason2)  # x8
     assert s.reduce_db() == 3  # half of the 6 candidates
     assert glue1 in s.learnts and glue2 in s.learnts
     assert reason1 in s.learnts and reason2 in s.learnts
@@ -625,15 +626,19 @@ def test_determinism_same_config_same_run():
 
 
 def test_time_budget_unknown():
-    f = pigeonhole(7)
-    r = Solver(f, SolverConfig(time_limit_s=0.05)).solve()
+    s = Solver(pigeonhole(7))
+    deadline = time.perf_counter() + 0.05
+    r = s.solve(deadline)
     assert r.verdict is Verdict.UNKNOWN
-    assert r.elapsed_s >= 0.05
+    assert time.perf_counter() >= deadline
 
 
 def test_time_budget_bounds_a_conflict_free_run():
     # 60,000 decisions and not one conflict: the budget must still stop it
-    r = Solver(Formula(60_000, []), SolverConfig(time_limit_s=0.05)).solve()
+    s = Solver(Formula(60_000, []))
+    deadline = time.perf_counter() + 0.05
+    r = s.solve(deadline)
     assert r.verdict is Verdict.UNKNOWN
     assert r.counters.conflicts == 0
-    assert 0.05 <= r.elapsed_s < 0.5
+    assert time.perf_counter() >= deadline
+    assert r.elapsed_s < 0.5
