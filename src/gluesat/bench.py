@@ -1,14 +1,18 @@
 """Corpus harness: baseline vs glue-bump A/B runs with PAR-2 scoring.
 
-Each (instance, config) pair solves in its own worker process under a
-wall-clock timeout; the solver also sees the timeout so it can give up
-cleanly between propagation rounds, and a hard kill at timeout plus a
-grace period catches runaways. The harness blocks on the running
-workers' result pipes until one turns readable (the worker's RunRecord,
-or EOF from a worker that died) or the earliest kill deadline passes. Unsolved
-instances score twice the timeout (PAR-2, reported as a sum over
-instances). A cumulative series of solved(gb, <=t) - solved(baseline,
-<=t) over a time grid supports solve-time difference plots.
+At most `jobs` worker processes run the (instance, config) pairs. Each
+worker is forked once and solves task after task, sent over its own
+duplex pipe, until the queue is empty; a worker that is hard-killed or
+exits without a result is replaced by a new one for the next task. Each
+solve runs under a wall-clock timeout; the solver also sees the timeout
+so it can give up cleanly between propagation rounds, and a hard kill at
+timeout plus a grace period, counted from when the task was sent,
+catches runaways. The harness blocks on the busy workers' pipes until
+one turns readable (the worker's RunRecord, or EOF from a worker that
+died) or the earliest kill deadline passes. Unsolved instances score
+twice the timeout (PAR-2, reported as a sum over instances). A
+cumulative series of solved(gb, <=t) - solved(baseline, <=t) over a time
+grid supports solve-time difference plots.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ if TYPE_CHECKING:
 
 SOLVED_VERDICTS = ("SATISFIABLE", "UNSATISFIABLE")
 HARD_KILL_GRACE_S = 5.0
+IDLE_POLL_S = 0.5  # how often an idle worker checks that its parent lives
 SERIES_POINTS = 100
 
 RECORDS_CSV_HEADER = (
@@ -121,8 +126,27 @@ def _solve_worker(conn, inst: str, name: str, config: SolverConfig, timeout_s: f
             inst, name, "ERROR", time.perf_counter() - t0, timeout_s,
             error=f"{type(e).__name__}: {e}",
         )
-    with conn:
-        conn.send(record)
+    conn.send(record)
+
+
+def _worker_loop(conn) -> None:
+    """Solve the tasks sent over conn until it sends None or closes, or
+    until the process that started this worker is gone."""
+    parent = os.getppid()
+    while True:
+        # Under fork this worker, and every worker forked after it, holds
+        # a copy of the harness's end of this pipe, so a killed harness
+        # never sends EOF; its death shows as a change of parent pid.
+        while not conn.poll(IDLE_POLL_S):
+            if os.getppid() != parent:
+                return
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        _solve_worker(conn, *task)
 
 
 def run_corpus(
@@ -141,49 +165,71 @@ def run_corpus(
     pending = deque(
         (str(inst), name) for inst in instances for name in sorted(configs)
     )
-    running: dict = {}  # result pipe -> (process, instance, config, spawn time)
+    idle: list = []  # (process, task pipe) of each worker waiting for a task
+    running: dict = {}  # task pipe -> (process, instance, config, send time)
     kill_after = timeout_s + grace_s
 
-    while pending or running:
-        while pending and len(running) < max(1, jobs):
-            inst, name = pending.popleft()
-            if not os.path.isfile(inst):
-                warnings.warn(f"missing instance {inst}: excluded from PAR-2")
-                records.append(RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file"))
-                continue
-            conn, child_conn = mp.Pipe(duplex=False)
-            proc = mp.Process(
-                target=_solve_worker, args=(child_conn, inst, name, configs[name], timeout_s)
-            )
-            proc.start()
-            child_conn.close()
-            running[conn] = (proc, inst, name, time.monotonic())
-        if not running:
-            continue
-
-        # A pipe turns readable when its worker sends a result or exits.
-        first_kill = min(start for *_, start in running.values()) + kill_after
-        ready = wait(list(running), timeout=max(0.0, first_kill - time.monotonic()))
-        now = time.monotonic()
-        for conn, (proc, inst, name, start) in list(running.items()):
-            if conn in ready:
-                try:
-                    record = conn.recv()
-                except EOFError:  # the worker exited without a result
-                    record = RunRecord(
-                        inst, name, "ERROR", 0.0, timeout_s, error="worker pipe closed"
+    try:
+        while pending or running:
+            while pending and len(running) < max(1, jobs):
+                inst, name = pending.popleft()
+                if not os.path.isfile(inst):
+                    warnings.warn(f"missing instance {inst}: excluded from PAR-2")
+                    records.append(
+                        RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file")
                     )
-            elif now - start >= kill_after:
-                proc.terminate()
-                record = RunRecord(
-                    inst, name, "UNKNOWN", now - start, timeout_s, error="hard timeout"
-                )
-            else:
+                    continue
+                if idle:
+                    proc, conn = idle.pop()
+                else:
+                    conn, child_conn = mp.Pipe()
+                    proc = mp.Process(target=_worker_loop, args=(child_conn,))
+                    proc.start()
+                    child_conn.close()
+                running[conn] = (proc, inst, name, time.monotonic())
+                conn.send((inst, name, configs[name], timeout_s))
+            if not running:
                 continue
+
+            # A pipe turns readable when its worker sends a result or exits.
+            first_kill = min(start for *_, start in running.values()) + kill_after
+            ready = wait(list(running), timeout=max(0.0, first_kill - time.monotonic()))
+            now = time.monotonic()
+            for conn, (proc, inst, name, start) in list(running.items()):
+                if conn in ready:
+                    try:
+                        records.append(conn.recv())
+                    except EOFError:  # the worker exited without a result
+                        records.append(RunRecord(
+                            inst, name, "ERROR", 0.0, timeout_s, error="worker pipe closed"
+                        ))
+                    else:
+                        idle.append((proc, conn))
+                        del running[conn]
+                        continue
+                elif now - start >= kill_after:
+                    proc.terminate()
+                    records.append(RunRecord(
+                        inst, name, "UNKNOWN", now - start, timeout_s, error="hard timeout"
+                    ))
+                else:
+                    continue
+                # The worker is gone or going; the next task gets a new one.
+                del running[conn]
+                proc.join()
+                conn.close()
+    finally:
+        # Idle workers exit on None; a busy one is killed mid-task.
+        for proc, conn in idle:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is already gone, e.g. after a Ctrl-C
+                pass
+        for proc, *_ in running.values():
+            proc.terminate()
+        for proc, conn in idle + [(proc, conn) for conn, (proc, *_) in running.items()]:
             proc.join()
             conn.close()
-            del running[conn]
-            records.append(record)
 
     records.sort(key=lambda r: (r.instance, r.config))
     _check_verdict_agreement(records)

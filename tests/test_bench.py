@@ -3,9 +3,14 @@ import hashlib
 import io
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+from gluesat import bench
 from gluesat.bench import (
     RunRecord,
     _check_verdict_agreement,
@@ -22,6 +27,27 @@ from gluesat.bench import (
 from gluesat.formula import to_dimacs
 from gluesat.gen import pigeonhole, random_ksat, unit_chain
 from oracles import recompute_par2_from_csv
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+needs_fork = pytest.mark.skipif(
+    mp.get_start_method() != "fork", reason="the patched worker reaches children only by fork"
+)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a live worker process behind it."""
+    yield
+    deadline = time.monotonic() + 2.0
+    for proc in mp.active_children():
+        proc.join(max(0.0, deadline - time.monotonic()))
+    leaked = mp.active_children()
+    for proc in leaked:  # so that one leak fails one test, not the rest
+        proc.kill()
+        proc.join(5.0)
+    assert leaked == [], f"worker processes outlived the test: {leaked}"
 
 
 def rec(inst, cfg, verdict, wall, timeout=5000.0):
@@ -255,15 +281,126 @@ def test_hard_timeout_kills_worker_stuck_in_parsing(tmp_path):
     assert r.wall_time_s >= 0.2
 
 
-@pytest.mark.skipif(
-    mp.get_start_method() != "fork", reason="the patched worker reaches children only by fork"
-)
+@needs_fork
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_exit_without_result_is_error_record(small_corpus, monkeypatch, jobs):
     monkeypatch.setattr("gluesat.bench._solve_worker", lambda *args: os._exit(3))
     result = run_corpus(small_corpus[:2], default_configs(), timeout_s=10.0, jobs=jobs)
     assert len(result.records) == 4
     assert {(r.verdict, r.error) for r in result.records} == {("ERROR", "worker pipe closed")}
+
+
+# ---- worker reuse and lifetime ------------------------------------------------------
+
+
+def record_worker_pids(monkeypatch, path):
+    """Make every harness task append its worker's pid to `path`."""
+    solve = bench._solve_worker
+
+    def solve_and_record(*args):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        solve(*args)
+
+    monkeypatch.setattr("gluesat.bench._solve_worker", solve_and_record)
+
+
+@needs_fork
+def test_jobs_1_solves_every_task_in_one_worker(small_corpus, monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+    record_worker_pids(monkeypatch, pids)
+    result = run_corpus(small_corpus, default_configs(max_conflicts=50_000), timeout_s=60.0)
+    assert all(r.solved for r in result.records)
+    seen = pids.read_text().split()
+    assert len(seen) == 2 * len(small_corpus)
+    assert len(set(seen)) == 1 and seen[0] != str(os.getpid())
+
+
+@needs_fork
+def test_task_after_a_hard_kill_solves_in_a_new_worker(small_corpus, monkeypatch, tmp_path):
+    big = tmp_path / "big.cnf"
+    big.write_text(to_dimacs(unit_chain(200_000)))
+    small_sat = small_corpus[4]  # unit_chain(8)
+    pids = tmp_path / "pids"
+    record_worker_pids(monkeypatch, pids)
+    configs = {"baseline": default_configs()["baseline"]}
+    result = run_corpus([str(big), small_sat], configs, timeout_s=0.1, jobs=1, grace_s=0.1)
+    by_instance = {r.instance: r for r in result.records}
+    assert (by_instance[str(big)].verdict, by_instance[str(big)].error) == (
+        "UNKNOWN", "hard timeout"
+    )
+    assert by_instance[small_sat].verdict == "SATISFIABLE"
+    first, second = pids.read_text().split()
+    assert first != second
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_no_worker_outlives_an_exception_in_the_loop(small_corpus, monkeypatch, error):
+    calls = []
+
+    def wait_then_fail(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error("injected")
+        return mp.connection.wait(*args, **kwargs)
+
+    monkeypatch.setattr("gluesat.bench.wait", wait_then_fail)
+    with pytest.raises(error, match="injected"):
+        run_corpus(small_corpus, default_configs(max_conflicts=50_000), timeout_s=60.0, jobs=2)
+    assert mp.active_children() == []
+
+
+def _gone(pid):
+    """Whether `pid` has exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            state = next(line for line in fh if line.startswith("State:"))
+    except FileNotFoundError:
+        return True
+    return state.split()[1] == "Z"
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/status")
+def test_worker_exits_when_the_harness_is_killed(tmp_path):
+    hard = tmp_path / "hard.cnf"
+    hard.write_text(to_dimacs(pigeonhole(9)))
+    pid_file = tmp_path / "worker.pid"
+    timeout_s = 1.0
+    script = f"""
+import os
+from gluesat import bench
+
+solve = bench._solve_worker
+
+def solve_and_record(*args):
+    with open({str(pid_file) + ".tmp"!r}, "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace({str(pid_file) + ".tmp"!r}, {str(pid_file)!r})
+    solve(*args)
+
+bench._solve_worker = solve_and_record
+bench.run_corpus([{str(hard)!r}], bench.default_configs(), timeout_s={timeout_s}, grace_s=60.0)
+"""
+    harness = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC))
+    worker = None
+    try:
+        deadline = time.monotonic() + 30.0
+        while not pid_file.exists() and harness.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert pid_file.exists(), "the harness never started a task"
+        worker = int(pid_file.read_text())
+        harness.kill()  # mid-task: the solve has a second to run
+        harness.wait(10.0)
+        deadline = time.monotonic() + timeout_s + 3.0
+        while not _gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _gone(worker), "the worker outlived its killed harness"
+    finally:
+        harness.kill()
+        harness.wait(10.0)
+        if worker is not None and not _gone(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 @pytest.fixture

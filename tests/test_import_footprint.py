@@ -1,6 +1,7 @@
-"""What importing gluesat loads. Every CLI call and every harness task is
-a fresh interpreter, so a module that the search never uses costs each
-of them its import time and memory."""
+"""What importing gluesat loads. Every CLI call is a fresh interpreter,
+and the harness forks its workers from a process that imported
+gluesat.bench, so a module that the search never uses costs each CLI
+call its import time and every one of these processes its memory."""
 
 import os
 import subprocess
