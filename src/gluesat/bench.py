@@ -3,16 +3,18 @@
 At most `jobs` worker processes run the (instance, config) pairs. Each
 worker is forked once and solves task after task, sent over its own
 duplex pipe, until the queue is empty; a worker that is hard-killed or
-exits without a result is replaced by a new one for the next task. Each
-solve runs under a wall-clock timeout; the solver also sees the timeout
-so it can give up cleanly between propagation rounds, and a hard kill at
-timeout plus a grace period, counted from when the task was sent,
-catches runaways. The harness blocks on the busy workers' pipes until
-one turns readable (the worker's RunRecord, or EOF from a worker that
-died) or the earliest kill deadline passes. Unsolved instances score
-twice the timeout (PAR-2, reported as a sum over instances). A
-cumulative series of solved(gb, <=t) - solved(baseline, <=t) over a time
-grid supports solve-time difference plots.
+exits without a result is replaced by a new one for the next task. A
+task has one clock, started before its input is opened: its wall time
+covers reading, parsing, building and solving, and its solver's deadline
+is that start plus the timeout, so the solver gives up cleanly between
+propagation rounds. A hard kill at timeout plus a grace period, counted
+from when the task was sent, catches runaways. The harness blocks on the
+busy workers' pipes until one turns readable (the worker's RunRecord, or
+EOF from a worker that died) or the earliest kill deadline passes.
+Unsolved instances score twice the timeout (PAR-2, reported as a sum
+over instances). A cumulative series of solved(gb, <=t) -
+solved(baseline, <=t) over a time grid supports solve-time difference
+plots.
 """
 
 from __future__ import annotations
@@ -110,23 +112,19 @@ def read_manifest(path: str | Path) -> list[str]:
 
 
 def _solve_worker(conn, inst: str, name: str, config: SolverConfig, timeout_s: float) -> None:
-    """Solve one instance and send its RunRecord; the solver's budget of
-    timeout_s starts when its search does."""
+    """Solve one instance and send its RunRecord. One clock, started
+    before the file is opened, gives both the budget of timeout_s and
+    the record's wall time, so parsing and building count in each."""
     t0 = time.perf_counter()
     try:
         with open(inst, "rb") as fh:
             formula = parse_dimacs(fh)
-        solver = Solver(formula, config)
-        result = solver.solve(time.perf_counter() + timeout_s)
-        record = RunRecord(
-            inst, name, result.verdict.value, result.elapsed_s, timeout_s, result.counters
-        )
+        result = Solver(formula, config).solve(t0 + timeout_s)
+        verdict, report, error = result.verdict.value, result.counters, ""
     except Exception as e:  # report parse/IO failures as errored records
-        record = RunRecord(
-            inst, name, "ERROR", time.perf_counter() - t0, timeout_s,
-            error=f"{type(e).__name__}: {e}",
-        )
-    conn.send(record)
+        verdict, report, error = "ERROR", None, f"{type(e).__name__}: {e}"
+    wall = time.perf_counter() - t0
+    conn.send(RunRecord(inst, name, verdict, wall, timeout_s, report, error))
 
 
 def _worker_loop(conn) -> None:
@@ -154,7 +152,6 @@ def run_corpus(
     configs: dict[str, SolverConfig],
     timeout_s: float = 60.0,
     jobs: int = 1,
-    grace_s: float = HARD_KILL_GRACE_S,
 ) -> CorpusResult:
     """Run every config on every instance and aggregate.
 
@@ -167,7 +164,7 @@ def run_corpus(
     )
     idle: list = []  # (process, task pipe) of each worker waiting for a task
     running: dict = {}  # task pipe -> (process, instance, config, send time)
-    kill_after = timeout_s + grace_s
+    kill_after = timeout_s + HARD_KILL_GRACE_S
 
     try:
         while pending or running:
@@ -267,17 +264,16 @@ def par2_summaries(
 
 
 def solved_diff_series(
-    records: Sequence[RunRecord],
-    timeout_s: float,
-    points: int = SERIES_POINTS,
+    records: Sequence[RunRecord], timeout_s: float
 ) -> list[tuple[float, int]]:
-    """solved(gb, <=t) - solved(baseline, <=t) on a uniform time grid."""
+    """solved(gb, <=t) - solved(baseline, <=t) on a grid of SERIES_POINTS
+    equal steps from 0 to timeout_s."""
     gb_times = sorted(r.wall_time_s for r in records if r.config == "gb" and r.solved)
     base_times = sorted(r.wall_time_s for r in records if r.config == "baseline" and r.solved)
 
     series = []
-    for i in range(points + 1):
-        t = timeout_s * i / points
+    for i in range(SERIES_POINTS + 1):
+        t = timeout_s * i / SERIES_POINTS
         series.append((t, bisect_right(gb_times, t) - bisect_right(base_times, t)))
     return series
 
@@ -326,7 +322,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out-dir", required=True, metavar="DIR",
                     help="directory for records.csv, summary.csv, series.csv")
     ap.add_argument("--timeout", type=positive_seconds, default=60.0, metavar="S",
-                    help="per-solve wall clock budget (default 60)")
+                    help="wall-clock budget per run, reading and parsing the "
+                         "input included (default 60)")
     ap.add_argument("--max-conflicts", type=positive_count, default=None, metavar="N",
                     help="per-solve conflict budget (deterministic runs)")
     ap.add_argument("--jobs", type=positive_count, default=1, metavar="N",

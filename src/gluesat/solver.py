@@ -81,13 +81,13 @@ class SolverConfig(NamedTuple):
 
 
 class SolveResult(NamedTuple):
-    """One solve's outcome. Immutable: derive a changed copy with `_replace`."""
+    """One solve's outcome. Immutable: derive a changed copy with `_replace`.
+    It holds no time: the caller that sets the deadline owns the clock."""
 
     verdict: Verdict
     model: Optional[list[int]]  # signed DIMACS literals, one per variable
     counters: MetricsReport  # search totals and per-class metrics
     restarts: int
-    elapsed_s: float
 
 
 class Solver:
@@ -432,11 +432,11 @@ class Solver:
         """Search until a verdict, the conflict budget or `deadline`: an
         absolute time.perf_counter() value, checked before every
         propagation round, so one already past stops the search before
-        its first propagation."""
+        its first propagation. The solver keeps no clock of its own; the
+        caller times the run from the start its deadline counts from."""
         if self._solved:
             raise RuntimeError("Solver is single-use: solve() was already called")
         self._solved = True
-        t_start = time.perf_counter()
         cfg = self.config
         verdict = Verdict.UNKNOWN
         model: Optional[list[int]] = None
@@ -484,6 +484,4 @@ class Solver:
             verdict = Verdict.UNSAT
         if self.proof is not None:
             self.proof.flush()
-        return SolveResult(
-            verdict, model, self.counters, self.restarts, time.perf_counter() - t_start
-        )
+        return SolveResult(verdict, model, self.counters, self.restarts)

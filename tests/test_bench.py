@@ -105,14 +105,15 @@ def test_par2_recount_from_csv_matches_exactly(tmp_path):
 # ---- solved-difference series ------------------------------------------------------
 
 
-def test_solved_diff_series_counts():
+def test_solved_diff_series_counts(monkeypatch):
+    monkeypatch.setattr("gluesat.bench.SERIES_POINTS", 20)
     records = [
         rec("a", "baseline", "SATISFIABLE", 10.0, 100.0),
         rec("a", "gb", "SATISFIABLE", 5.0, 100.0),
         rec("b", "baseline", "UNKNOWN", 100.0, 100.0),
         rec("b", "gb", "UNSATISFIABLE", 50.0, 100.0),
     ]
-    series = solved_diff_series(records, 100.0, points=20)
+    series = solved_diff_series(records, 100.0)
     assert series[0] == (0.0, 0)
     assert dict(series)[5.0] == 1  # gb solved a at 5; baseline not before 10
     assert dict(series)[10.0] == 0  # both have a by now
@@ -258,27 +259,64 @@ def test_bench_main_writes_outputs(small_corpus, tmp_path, capsys):
     assert "baseline:" in printed and "gb:" in printed
 
 
-def test_solver_time_budget_gives_unknown_before_hard_kill(tmp_path):
+def test_solver_time_budget_gives_unknown_before_hard_kill(tmp_path, monkeypatch):
     # a formula the solver cannot finish in the budget; it stops on its own
+    monkeypatch.setattr("gluesat.bench.HARD_KILL_GRACE_S", 0.3)
     hard = tmp_path / "hard.cnf"
     hard.write_text(to_dimacs(pigeonhole(9)))
     configs = {"baseline": default_configs()["baseline"]}
-    result = run_corpus([str(hard)], configs, timeout_s=0.5, jobs=1, grace_s=0.3)
+    result = run_corpus([str(hard)], configs, timeout_s=0.5, jobs=1)
     (r,) = result.records
     assert r.verdict == "UNKNOWN"
     assert r.wall_time_s >= 0.5
     assert r.error == ""
 
 
-def test_hard_timeout_kills_worker_stuck_in_parsing(tmp_path):
+def test_hard_timeout_kills_worker_stuck_in_parsing(tmp_path, monkeypatch):
     # parsing alone (~1 s) outlasts timeout + grace, so only the kill ends it
+    monkeypatch.setattr("gluesat.bench.HARD_KILL_GRACE_S", 0.1)
     big = tmp_path / "big.cnf"
     big.write_text(to_dimacs(unit_chain(200_000)))
     configs = {"baseline": default_configs()["baseline"]}
-    result = run_corpus([str(big)], configs, timeout_s=0.1, jobs=1, grace_s=0.1)
+    result = run_corpus([str(big)], configs, timeout_s=0.1, jobs=1)
     (r,) = result.records
     assert (r.verdict, r.error) == ("UNKNOWN", "hard timeout")
     assert r.wall_time_s >= 0.2
+
+
+def slow_parse(monkeypatch, seconds):
+    """Make every harness parse sleep `seconds` first."""
+    parse = bench.parse_dimacs
+
+    def sleep_then_parse(source):
+        time.sleep(seconds)
+        return parse(source)
+
+    monkeypatch.setattr("gluesat.bench.parse_dimacs", sleep_then_parse)
+
+
+@needs_fork
+def test_parse_spends_the_budget_so_the_solver_stops_before_the_kill(tmp_path, monkeypatch):
+    # the parse outlasts the budget but not timeout + grace: the solver
+    # must see the budget gone and stop cleanly before the hard kill
+    slow_parse(monkeypatch, 0.4)
+    monkeypatch.setattr("gluesat.bench.HARD_KILL_GRACE_S", 0.2)
+    hard = tmp_path / "hard.cnf"
+    hard.write_text(to_dimacs(pigeonhole(9)))
+    configs = {"baseline": default_configs()["baseline"]}
+    (r,) = run_corpus([str(hard)], configs, timeout_s=0.3, jobs=1).records
+    assert (r.verdict, r.error) == ("UNKNOWN", "")
+    assert r.report.conflicts == 0
+    assert 0.4 <= r.wall_time_s < 0.5
+
+
+@needs_fork
+def test_solved_record_wall_time_counts_parsing(small_corpus, monkeypatch):
+    slow_parse(monkeypatch, 0.3)
+    configs = {"baseline": default_configs()["baseline"]}
+    (r,) = run_corpus(small_corpus[:1], configs, timeout_s=60.0, jobs=1).records
+    assert r.solved
+    assert r.wall_time_s >= 0.3
 
 
 @needs_fork
@@ -324,7 +362,8 @@ def test_task_after_a_hard_kill_solves_in_a_new_worker(small_corpus, monkeypatch
     pids = tmp_path / "pids"
     record_worker_pids(monkeypatch, pids)
     configs = {"baseline": default_configs()["baseline"]}
-    result = run_corpus([str(big), small_sat], configs, timeout_s=0.1, jobs=1, grace_s=0.1)
+    monkeypatch.setattr("gluesat.bench.HARD_KILL_GRACE_S", 0.1)
+    result = run_corpus([str(big), small_sat], configs, timeout_s=0.1, jobs=1)
     by_instance = {r.instance: r for r in result.records}
     assert (by_instance[str(big)].verdict, by_instance[str(big)].error) == (
         "UNKNOWN", "hard timeout"
@@ -380,7 +419,8 @@ def solve_and_record(*args):
     solve(*args)
 
 bench._solve_worker = solve_and_record
-bench.run_corpus([{str(hard)!r}], bench.default_configs(), timeout_s={timeout_s}, grace_s=60.0)
+bench.HARD_KILL_GRACE_S = 60.0
+bench.run_corpus([{str(hard)!r}], bench.default_configs(), timeout_s={timeout_s})
 """
     harness = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC))
     worker = None

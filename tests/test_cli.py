@@ -120,20 +120,38 @@ def test_timeout_must_be_finite_and_positive(tmp_path, timeout):
     assert exc.value.code == 2
 
 
-def test_timeout_counts_parsing(tmp_path, monkeypatch):
-    # a parse that takes longer than the whole budget leaves the solver none
+@pytest.fixture
+def slow_parse(monkeypatch):
+    """Make the CLI's parse sleep 0.3 s first."""
     parse = gluesat.cli.parse_dimacs
 
-    def slow_parse(source):
+    def sleep_then_parse(source):
         time.sleep(0.3)
         return parse(source)
 
-    monkeypatch.setattr(gluesat.cli, "parse_dimacs", slow_parse)
+    monkeypatch.setattr(gluesat.cli, "parse_dimacs", sleep_then_parse)
+
+
+def test_timeout_counts_parsing(tmp_path, slow_parse):
+    # a parse that takes longer than the whole budget leaves the solver none
     path = write_cnf(tmp_path, "php.cnf", to_dimacs(pigeonhole(5)))
     code, out, _ = run([path, "--timeout", "0.1"])
     assert code == EXIT_UNKNOWN
     assert "s UNKNOWN" in out.splitlines()
     assert " conflicts 0 " in out
+
+
+def test_reported_time_counts_parsing(tmp_path, slow_parse):
+    # with no --timeout, `c time` and the stats row still time the whole run
+    path = write_cnf(tmp_path, "php.cnf", to_dimacs(pigeonhole(3)))
+    stats_path = tmp_path / "stats.csv"
+    code, out, _ = run([path, "--stats-csv", str(stats_path)])
+    assert code == EXIT_UNSAT
+    c_time = next(l for l in out.splitlines() if l.startswith("c time ")).split()[2]
+    with open(stats_path, newline="") as fh:
+        wall = float(next(csv.DictReader(fh))["wall_time_s"])
+    assert float(c_time) >= 0.3
+    assert f"{wall:.3f}" == c_time
 
 
 @pytest.mark.parametrize("max_conflicts", ["0", "-3"])
