@@ -2,9 +2,10 @@
 
 At most `jobs` worker processes run the (instance, config) pairs. Each
 worker is forked once and solves task after task, sent over its own
-duplex pipe, until the queue is empty; a worker that is hard-killed or
-exits without a result is replaced by a new one for the next task. A
-task has one clock, started before its input is opened: its wall time
+duplex pipe, until the harness closes its end or dies; a worker that is
+hard-killed or exits without a result is replaced by a new one for the
+next task.
+A task has one clock, started before its input is opened: its wall time
 covers reading, parsing, building and solving, and its solver's deadline
 is that start plus the timeout, so the solver gives up cleanly between
 propagation rounds. A hard kill at timeout plus a grace period, counted
@@ -41,7 +42,6 @@ if TYPE_CHECKING:
 
 SOLVED_VERDICTS = ("SATISFIABLE", "UNSATISFIABLE")
 HARD_KILL_GRACE_S = 5.0
-IDLE_POLL_S = 0.5  # how often an idle worker checks that its parent lives
 SERIES_POINTS = 100
 
 RECORDS_CSV_HEADER = (
@@ -111,10 +111,10 @@ def read_manifest(path: str | Path) -> list[str]:
     return out
 
 
-def _solve_worker(conn, inst: str, name: str, config: SolverConfig, timeout_s: float) -> None:
-    """Solve one instance and send its RunRecord. One clock, started
-    before the file is opened, gives both the budget of timeout_s and
-    the record's wall time, so parsing and building count in each."""
+def _solve_worker(inst: str, name: str, config: SolverConfig, timeout_s: float) -> RunRecord:
+    """Solve one instance into its RunRecord. One clock, started before
+    the file is opened, gives both the budget of timeout_s and the
+    record's wall time, so parsing and building count in each."""
     t0 = time.perf_counter()
     try:
         with open(inst, "rb") as fh:
@@ -124,27 +124,22 @@ def _solve_worker(conn, inst: str, name: str, config: SolverConfig, timeout_s: f
     except Exception as e:  # report parse/IO failures as errored records
         verdict, report, error = "ERROR", None, f"{type(e).__name__}: {e}"
     wall = time.perf_counter() - t0
-    conn.send(RunRecord(inst, name, verdict, wall, timeout_s, report, error))
+    return RunRecord(inst, name, verdict, wall, timeout_s, report, error)
 
 
-def _worker_loop(conn) -> None:
-    """Solve the tasks sent over conn until it sends None or closes, or
-    until the process that started this worker is gone."""
-    parent = os.getppid()
-    while True:
-        # Under fork this worker, and every worker forked after it, holds
-        # a copy of the harness's end of this pipe, so a killed harness
-        # never sends EOF; its death shows as a change of parent pid.
-        while not conn.poll(IDLE_POLL_S):
-            if os.getppid() != parent:
-                return
-        try:
-            task = conn.recv()
-        except EOFError:
-            return
-        if task is None:
-            return
-        _solve_worker(conn, *task)
+def _worker_loop(conn, harness_ends) -> None:
+    """Solve the tasks sent over conn until the harness closes its end or
+    dies. `harness_ends` are the harness's pipe ends this worker was
+    forked with, its own included; once they are closed here, the
+    harness's close or death reads EOF, or fails the send of a result
+    (on a socketpair, possibly as a reset connection)."""
+    for end in harness_ends:
+        end.close()
+    try:
+        while True:
+            conn.send(_solve_worker(*conn.recv()))
+    except (EOFError, OSError):
+        return
 
 
 def run_corpus(
@@ -180,7 +175,9 @@ def run_corpus(
                     proc, conn = idle.pop()
                 else:
                     conn, child_conn = mp.Pipe()
-                    proc = mp.Process(target=_worker_loop, args=(child_conn,))
+                    # The worker closes its copies of the harness's ends: its
+                    # own and, as no worker is idle here, the busy ones'.
+                    proc = mp.Process(target=_worker_loop, args=(child_conn, [conn, *running]))
                     proc.start()
                     child_conn.close()
                 running[conn] = (proc, inst, name, time.monotonic())
@@ -216,17 +213,12 @@ def run_corpus(
                 proc.join()
                 conn.close()
     finally:
-        # Idle workers exit on None; a busy one is killed mid-task.
-        for proc, conn in idle:
-            try:
-                conn.send(None)
-            except OSError:  # the worker is already gone, e.g. after a Ctrl-C
-                pass
+        # A busy worker is killed mid-task; an idle one returns once its pipe closes.
         for proc, *_ in running.values():
             proc.terminate()
         for proc, conn in idle + [(proc, conn) for conn, (proc, *_) in running.items()]:
-            proc.join()
             conn.close()
+            proc.join()
 
     records.sort(key=lambda r: (r.instance, r.config))
     _check_verdict_agreement(records)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 from gluesat.formula import Clause, DimacsError, Formula, lit_from_int, normalize_clause
 
@@ -134,23 +134,32 @@ def rup_reference(formula: Formula, events) -> bool:
     same sorted literals, an unknown clause is a no-op, and the empty
     clause is never deleted.
     """
+    return first_rejected_lemma(formula, events) is None
+
+
+def first_rejected_lemma(formula: Formula, events) -> Optional[tuple[int, list[int]]]:
+    """The `rup_reference` replay, naming what it rejects: the index in
+    `events` and the literals of the first addition that is not RUP, or
+    None if the proof is accepted. A proof whose additions all check but
+    never reach the empty clause is rejected at (len(events), []), the
+    empty clause it lacks."""
     clauses: list[list[int]] = [c.to_ints() for c in formula.clauses]
-    for ev in events:
+    for i, ev in enumerate(events):
         if ev.kind == "delete":
             key = sorted(ev.lits)
             if not key:
                 continue
-            for i, c in enumerate(clauses):
+            for j, c in enumerate(clauses):
                 if sorted(c) == key:
-                    del clauses[i]
+                    del clauses[j]
                     break
             continue
         if not _unit_propagation_conflicts(clauses, [-l for l in ev.lits]):
-            return False
+            return i, list(ev.lits)
         if not ev.lits:
-            return True
+            return None
         clauses.append(list(ev.lits))
-    return False
+    return len(events), []
 
 
 def model_satisfies(formula: Formula, model: list[int]) -> bool:

@@ -338,7 +338,7 @@ def record_worker_pids(monkeypatch, path):
     def solve_and_record(*args):
         with open(path, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        solve(*args)
+        return solve(*args)
 
     monkeypatch.setattr("gluesat.bench._solve_worker", solve_and_record)
 
@@ -400,47 +400,120 @@ def _gone(pid):
 
 
 @needs_fork
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/status")
-def test_worker_exits_when_the_harness_is_killed(tmp_path):
-    hard = tmp_path / "hard.cnf"
-    hard.write_text(to_dimacs(pigeonhole(9)))
-    pid_file = tmp_path / "worker.pid"
-    timeout_s = 1.0
-    script = f"""
+def test_worker_exits_when_the_harness_closes_its_pipe():
+    # Forked as run_corpus forks them; the second worker starts with a copy
+    # of the first one's harness end, as a busy worker's would be.
+    first, first_child = mp.Pipe()
+    first_proc = mp.Process(target=bench._worker_loop, args=(first_child, [first]))
+    first_proc.start()
+    first_child.close()
+    second, second_child = mp.Pipe()
+    second_proc = mp.Process(target=bench._worker_loop, args=(second_child, [second, first]))
+    second_proc.start()
+    second_child.close()
+
+    first.close()  # no stop message: the closed pipe alone ends the worker
+    first_proc.join(2.0)
+    assert first_proc.exitcode == 0
+    assert second_proc.is_alive()
+    second.close()
+    second_proc.join(2.0)
+    assert second_proc.exitcode == 0
+
+
+# Runs run_corpus with the worker patched to write `<instance>.pid` before
+# each task and the harness to write `wait<n>` before its n-th wait.
+KILLABLE_HARNESS = """
 import os
+import sys
+
 from gluesat import bench
 
-solve = bench._solve_worker
+marks, timeout_s, jobs, *instances = sys.argv[1:]
+solve, wait, waits = bench._solve_worker, bench.wait, []
 
-def solve_and_record(*args):
-    with open({str(pid_file) + ".tmp"!r}, "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace({str(pid_file) + ".tmp"!r}, {str(pid_file)!r})
-    solve(*args)
 
-bench._solve_worker = solve_and_record
+def mark(name, text=""):
+    path = os.path.join(marks, name)
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
+
+
+def solve_and_mark(inst, *args):
+    mark(os.path.basename(inst) + ".pid", str(os.getpid()))
+    return solve(inst, *args)
+
+
+def wait_and_mark(*args, **kwargs):
+    waits.append(None)
+    mark(f"wait{len(waits)}")
+    return wait(*args, **kwargs)
+
+
+bench._solve_worker = solve_and_mark
+bench.wait = wait_and_mark
 bench.HARD_KILL_GRACE_S = 60.0
-bench.run_corpus([{str(hard)!r}], bench.default_configs(), timeout_s={timeout_s})
+configs = {"baseline": bench.default_configs()["baseline"]}
+bench.run_corpus(instances, configs, timeout_s=float(timeout_s), jobs=int(jobs))
 """
-    harness = subprocess.Popen([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=SRC))
-    worker = None
+
+
+def assert_workers_exit_after_the_harness_is_killed(tmp_path, instances, jobs, ready):
+    """SIGKILL a harness running `instances` once every mark in `ready`
+    exists; each worker it started must be gone within timeout + 3 s."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    timeout_s = 1.0
+    harness = subprocess.Popen(
+        [sys.executable, "-c", KILLABLE_HARNESS, str(marks), str(timeout_s), str(jobs),
+         *map(str, instances)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    workers = []
     try:
         deadline = time.monotonic() + 30.0
-        while not pid_file.exists() and harness.poll() is None and time.monotonic() < deadline:
+        while (not all((marks / name).exists() for name in ready)
+               and harness.poll() is None and time.monotonic() < deadline):
             time.sleep(0.02)
-        assert pid_file.exists(), "the harness never started a task"
-        worker = int(pid_file.read_text())
-        harness.kill()  # mid-task: the solve has a second to run
+        assert all((marks / name).exists() for name in ready), "the harness never got ready"
+        workers = [int(p.read_text()) for p in marks.glob("*.pid")]
+        harness.kill()
         harness.wait(10.0)
         deadline = time.monotonic() + timeout_s + 3.0
-        while not _gone(worker) and time.monotonic() < deadline:
+        while not all(map(_gone, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert _gone(worker), "the worker outlived its killed harness"
+        assert all(map(_gone, workers)), "a worker outlived its killed harness"
     finally:
         harness.kill()
         harness.wait(10.0)
-        if worker is not None and not _gone(worker):
-            os.kill(worker, signal.SIGKILL)
+        for worker in workers:
+            if not _gone(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/status")
+def test_worker_exits_when_the_harness_is_killed(tmp_path):
+    # mid-task: the solve has a second to run, then its send fails
+    hard = tmp_path / "hard.cnf"
+    hard.write_text(to_dimacs(pigeonhole(9)))
+    assert_workers_exit_after_the_harness_is_killed(
+        tmp_path, [hard], jobs=1, ready=["hard.cnf.pid"]
+    )
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/status")
+def test_idle_worker_exits_when_the_harness_is_killed(tmp_path):
+    # The harness's second wait comes after the quick task's record, so
+    # one worker is idle in recv (it reads EOF) and one is still solving.
+    quick, hard = tmp_path / "quick.cnf", tmp_path / "hard.cnf"
+    quick.write_text(to_dimacs(unit_chain(8)))
+    hard.write_text(to_dimacs(pigeonhole(9)))
+    assert_workers_exit_after_the_harness_is_killed(
+        tmp_path, [quick, hard], jobs=2, ready=["quick.cnf.pid", "hard.cnf.pid", "wait2"]
+    )
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from gluesat.proof import (
 )
 from gluesat.solver import Solver, SolverConfig, Verdict
 from oracles import (
+    first_rejected_lemma,
     proof_steps_semantically_valid,
     rup_reference,
     truth_table_satisfiable,
@@ -296,7 +297,9 @@ def test_mutation_sensitivity_and_sound_acceptance():
     """Corrupting one literal usually breaks a proof; when the corrupted
     proof still checks, that must be because it genuinely remains a valid
     refutation (verified here by exhaustive implication checking), never
-    because the checker waved something unsound through.
+    because the checker waved something unsound through. The reference
+    replay agrees, and names a rejected lemma no earlier than the
+    mutated event: the unchanged prefix still checks.
     """
     f = pigeonhole(4)  # 20 variables: survivors can be vindicated exactly
     result, proof = solve_with_proof(f)
@@ -309,11 +312,18 @@ def test_mutation_sensitivity_and_sound_acceptance():
     trials = 60
     for _ in range(trials):
         mutated = mutate_one_literal(events, rng)
+        named = first_rejected_lemma(f, mutated)
         if check_rup(f, mutated):
             survivors += 1
+            assert named is None
             assert proof_steps_semantically_valid(f, mutated)
         else:
             rejected += 1
+            assert named is not None
+            index, lits = named
+            at = next(i for i, (e, m) in enumerate(zip(events, mutated)) if e.lits != m.lits)
+            assert index >= at
+            assert lits == (mutated[index].lits if index < len(mutated) else [])
     assert rejected >= trials // 2  # the checker is clearly not a stub
     assert rejected + survivors == trials
 

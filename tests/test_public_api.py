@@ -46,6 +46,7 @@ def test_deleted_names_are_gone():
     for module in (gluesat, formula):
         assert not hasattr(module, "lit_var")
     assert not hasattr(bench, "recompute_par2_from_csv")
+    assert not hasattr(bench, "IDLE_POLL_S")  # workers stop when their pipe closes
     assert solver.SolveResult._fields == ("verdict", "model", "counters", "restarts")
     assert not hasattr(ProofWriter, "emit")
     assert not hasattr(ProofEvent, "to_line")

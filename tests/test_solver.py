@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 
 from gluesat.formula import Clause, Formula, lit_to_int, parse_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
+from gluesat.proof import ProofWriter, check_rup
 from gluesat.solver import (
     SolverConfig,
     Solver,
@@ -447,6 +449,65 @@ def test_clause_activity_rescale_covers_the_new_learnt():
     assert math.isclose(old.activity, 0.9)
     assert math.isclose(s.cla_inc, 2.0)
     assert math.isclose(new.activity, 2.0)
+
+
+class RescaleAuditSolver(Solver):
+    """Counts variable and clause-activity rescales; at the first decision
+    after each variable rescale, checks that every unassigned variable
+    has a live heap entry and that the pick is the brute-force argmax."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.var_rescales = self.clause_rescales = 0
+        self.audit_next_pick = False
+        rescale = self.activities.rescale
+
+        def counted_rescale():
+            rescale()
+            self.var_rescales += 1
+            self.audit_next_pick = True
+
+        self.activities.rescale = counted_rescale
+
+    def _bump_clause_activity(self, c):
+        before = self.cla_inc
+        super()._bump_clause_activity(c)
+        self.clause_rescales += self.cla_inc < before
+
+    def decide(self):
+        if not self.audit_next_pick:
+            return super().decide()
+        self.audit_next_pick = False
+        heap, act = self.activities.heap, self.activities.activity
+        live = {v for key, v in heap.entries if heap.in_heap[v] and key == -act[v]}
+        unassigned = [v for v in range(self.num_vars) if self.value[2 * v] == 0]
+        assert [v for v in unassigned if v not in live] == []
+        expected = unassigned_argmax(self)
+        lit = super().decide()
+        assert lit >> 1 == expected
+        return lit
+
+
+@pytest.mark.parametrize("glue_bump", [False, True])
+def test_frequent_rescales_keep_verdicts_certified(monkeypatch, glue_bump):
+    # Lowered limits make both rescales fire every few dozen conflicts in
+    # runs of ~900 conflicts.
+    monkeypatch.setattr("gluesat.activity.RESCALE_LIMIT", 32.0)
+    monkeypatch.setattr("gluesat.activity.RESCALE_FACTOR", 1 / 32)
+    monkeypatch.setattr("gluesat.solver.CLAUSE_ACT_LIMIT", 1.0)
+    monkeypatch.setattr("gluesat.solver.CLAUSE_ACT_RESCALE", 0.75)
+    unsat, sat = pigeonhole(6), random_ksat(120, 504, seed=17)
+
+    sink = io.StringIO()
+    s = RescaleAuditSolver(unsat, SolverConfig(glue_bump=glue_bump), proof=ProofWriter(sink))
+    assert s.solve().verdict is Verdict.UNSAT
+    assert check_rup(unsat, sink.getvalue()) is True
+    assert s.var_rescales >= 10 and s.clause_rescales >= 10
+
+    s = RescaleAuditSolver(sat, SolverConfig(glue_bump=glue_bump))
+    r = s.solve()
+    assert r.verdict is Verdict.SAT and model_satisfies(sat, r.model)
+    assert s.var_rescales >= 10 and s.clause_rescales >= 10
 
 
 def test_reduce_db_keeps_all_glue():
