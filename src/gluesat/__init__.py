@@ -9,51 +9,25 @@ backtracking frees it. DRAT proof logging and a PAR-2 benchmark harness
 round out the package.
 """
 
-from .formula import (
-    Clause,
-    DimacsError,
-    Formula,
-    lit_from_int,
-    lit_to_int,
-    normalize_clause,
-    parse_dimacs,
-    to_dimacs,
-)
-from .glue import GlueTracker
-from .metrics import MetricsCollector, MetricsReport, finalize_report
+from .formula import DimacsError, Formula, parse_dimacs, to_dimacs
+from .metrics import MetricsReport
 from .proof import ProofEvent, ProofWriter, check_rup, parse_drat
-from .solver import (
-    SolveResult,
-    Solver,
-    SolverConfig,
-    Verdict,
-    compute_lbd,
-    luby,
-)
+from .solver import SolveResult, Solver, SolverConfig, Verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Clause",
-    "DimacsError",
-    "Formula",
-    "lit_from_int",
-    "lit_to_int",
-    "normalize_clause",
-    "parse_dimacs",
-    "to_dimacs",
-    "GlueTracker",
-    "MetricsCollector",
-    "MetricsReport",
-    "finalize_report",
-    "ProofEvent",
-    "ProofWriter",
-    "check_rup",
-    "parse_drat",
-    "SolveResult",
     "Solver",
     "SolverConfig",
+    "SolveResult",
     "Verdict",
-    "compute_lbd",
-    "luby",
+    "MetricsReport",
+    "Formula",
+    "DimacsError",
+    "parse_dimacs",
+    "to_dimacs",
+    "ProofWriter",
+    "ProofEvent",
+    "parse_drat",
+    "check_rup",
 ]

@@ -98,8 +98,8 @@ class Solver:
     copies its clauses in order, since propagation reorders watched
     literals in place, watching each copy of two or more literals and
     enqueueing each unit in the same pass, with the cyclic garbage
-    collector paused (formula.gc_paused). A second solve() raises
-    RuntimeError.
+    collector paused (formula.gc_paused). A conflict budget below 1
+    raises ValueError; a second solve() raises RuntimeError.
     """
 
     def __init__(
@@ -109,6 +109,9 @@ class Solver:
         proof: Optional[ProofWriter] = None,
     ):
         self.config = config or SolverConfig()
+        cap = self.config.max_conflicts
+        if cap is not None and cap < 1:
+            raise ValueError(f"max_conflicts must be >= 1: {cap!r}")
         n = formula.num_vars
         self.num_vars = n
         self.proof = proof

@@ -42,3 +42,19 @@ def test_cli_import_loads_no_dataclasses_or_csv():
     assert "argparse" in loaded
     # csv loads only when a run asks for --stats-csv
     assert not loaded & (NEVER | {"csv"}), sorted(loaded & (NEVER | {"csv"}))
+
+
+def test_package_import_loads_only_the_library():
+    # Every CLI process pays for this path: no harness, command line,
+    # generators or process pool.
+    loaded = loaded_by("import gluesat")
+    assert {m for m in loaded if m.startswith("gluesat")} == {
+        "gluesat",
+        "gluesat.activity",
+        "gluesat.formula",
+        "gluesat.glue",
+        "gluesat.metrics",
+        "gluesat.proof",
+        "gluesat.solver",
+    }  # so neither gluesat.bench, gluesat.cli nor gluesat.gen
+    assert "multiprocessing" not in loaded

@@ -19,6 +19,7 @@ from gluesat.proof import (
 from gluesat.solver import Solver, SolverConfig, Verdict
 from oracles import (
     first_rejected_lemma,
+    model_satisfies,
     proof_steps_semantically_valid,
     rup_reference,
     truth_table_satisfiable,
@@ -277,6 +278,51 @@ def test_php_8_7_baseline_proof_checks():
     assert result.verdict is Verdict.UNSAT
     assert result.counters.conflicts == 4643
     assert check_rup(f, proof) is True
+
+
+def sweep_instance(rng):
+    """One instance of the mid-size certification sweep."""
+    family = rng.choice(("ksat", "ksat", "php", "parity"))
+    if family == "ksat":
+        n = rng.randint(50, 300)
+        ratio = rng.choice((3.0, 3.5, 6.0, 7.0))  # away from the ~4.26 threshold
+        return random_ksat(n, int(n * ratio), seed=rng.randrange(1 << 30))
+    if family == "php":
+        return pigeonhole(rng.randint(4, 6))
+    return parity_contradiction(rng.randint(12, 30))
+
+
+def test_mid_size_verdicts_are_certified():
+    """Seeded sweep past the truth-table corpus: 120 instances of 20-300
+    variables, each under one random config with glue bumping off and
+    on, capped at 300 conflicts. Small learnt limits make reduce_db
+    delete clauses in the proofs. Every SAT model is evaluated and every
+    UNSAT proof checked."""
+    rng = random.Random(23)
+    certified = with_deletions = 0
+    for _ in range(120):
+        f = sweep_instance(rng)
+        cfg = dict(
+            learnt_limit=rng.choice((1, 5, 20, 2000)),
+            learnt_limit_growth=rng.randint(0, 300),
+            max_conflicts=300,
+        )
+        for gb in (False, True):
+            result, proof = solve_with_proof(f, glue_bump=gb, **cfg)
+            where = f"{f.num_vars} vars, glue_bump={gb}, {cfg}"
+            if result.verdict is Verdict.SAT:
+                assert model_satisfies(f, result.model), where
+            elif result.verdict is Verdict.UNSAT:
+                events = parse_drat(proof)
+                assert check_rup(f, events), (
+                    f"{where}: first rejected lemma {first_rejected_lemma(f, events)}"
+                )
+                with_deletions += any(e.kind == DELETE for e in events)
+            else:
+                continue
+            certified += 1
+    assert certified >= 100
+    assert with_deletions >= 10
 
 
 def mutate_one_literal(events, rng):

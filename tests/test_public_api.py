@@ -4,34 +4,39 @@ were deleted and must not come back."""
 import pytest
 
 import gluesat
-from gluesat import bench, formula, metrics, solver
+from gluesat import bench, formula, glue, metrics, solver
 from gluesat.formula import Clause, Formula
 from gluesat.proof import ProofEvent, ProofWriter
 
 PUBLIC = [
-    "Clause",
-    "DimacsError",
-    "Formula",
-    "lit_from_int",
-    "lit_to_int",
-    "normalize_clause",
-    "parse_dimacs",
-    "to_dimacs",
-    "GlueTracker",
-    "MetricsCollector",
-    "MetricsReport",
-    "finalize_report",
-    "ProofEvent",
-    "ProofWriter",
-    "check_rup",
-    "parse_drat",
-    "SolveResult",
     "Solver",
     "SolverConfig",
+    "SolveResult",
     "Verdict",
-    "compute_lbd",
-    "luby",
+    "MetricsReport",
+    "Formula",
+    "DimacsError",
+    "parse_dimacs",
+    "to_dimacs",
+    "ProofWriter",
+    "ProofEvent",
+    "parse_drat",
+    "check_rup",
 ]
+
+# Solver internals: importable from the module that defines them, not
+# from the package root.
+INTERNAL = {
+    "Clause": formula,
+    "lit_from_int": formula,
+    "lit_to_int": formula,
+    "normalize_clause": formula,
+    "GlueTracker": glue,
+    "MetricsCollector": metrics,
+    "finalize_report": metrics,
+    "compute_lbd": solver,
+    "luby": solver,
+}
 
 
 def test_all_is_the_public_list_and_resolves():
@@ -41,6 +46,9 @@ def test_all_is_the_public_list_and_resolves():
 
 
 def test_deleted_names_are_gone():
+    for name, module in INTERNAL.items():
+        assert not hasattr(gluesat, name), name
+        assert getattr(module, name) is not None, name
     for module in (gluesat, solver):
         assert not hasattr(module, "SearchCounters")
     for module in (gluesat, formula):

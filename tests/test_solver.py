@@ -80,6 +80,17 @@ def test_conflict_budget_gives_unknown():
     assert r.counters.conflicts == 5
 
 
+def test_conflict_budget_below_one_is_refused():
+    # as --max-conflicts is on both command lines: a cap of 0 would still
+    # allow one conflict
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"max_conflicts must be >= 1: {cap}"):
+            Solver(pigeonhole(5), SolverConfig(max_conflicts=cap))
+    r = Solver(pigeonhole(5), SolverConfig(max_conflicts=1)).solve()
+    assert r.verdict is Verdict.UNKNOWN
+    assert r.counters.conflicts == 1
+
+
 def test_second_solve_raises():
     s = Solver(pigeonhole(3))
     assert s.solve().verdict is Verdict.UNSAT
