@@ -1,5 +1,9 @@
 """Corpus harness: baseline vs glue-bump A/B runs with PAR-2 scoring.
 
+`gluesat-bench` runs both `default_configs` on every listed instance;
+`run_corpus` takes any named configs, and builds the solved-difference
+series only when both `baseline` and `gb` are among them.
+
 At most `jobs` worker processes run the (instance, config) pairs. Each
 worker is forked once and solves task after task, sent over its own
 duplex pipe, until the harness closes its end or dies; a worker that is
@@ -292,8 +296,7 @@ def write_summary_csv(path: str | Path, summaries: Sequence[Par2Summary]) -> Non
 
 
 def write_series_csv(path: str | Path, series: Sequence[tuple[float, int]]) -> None:
-    """The solved-difference series; with an empty series (one config run),
-    the header alone."""
+    """The solved-difference series, one row per grid point."""
     _write_csv(path, SERIES_CSV_HEADER, ([repr(t), diff] for t, diff in series))
 
 
@@ -320,8 +323,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="per-solve conflict budget (deterministic runs)")
     ap.add_argument("--jobs", type=positive_count, default=1, metavar="N",
                     help="concurrent solver processes (default 1)")
-    ap.add_argument("--configs", default="baseline,gb", metavar="NAMES",
-                    help="comma-separated subset of {baseline,gb}")
     return ap
 
 
@@ -334,14 +335,6 @@ def main(argv: Optional[list[str]] = None) -> None:
     from .cli import output_clash
 
     args = build_arg_parser().parse_args(argv)
-    all_configs = default_configs(max_conflicts=args.max_conflicts)
-    names = [n.strip() for n in args.configs.split(",") if n.strip()]
-    if not names:
-        _fail("no configs")
-    unknown = [n for n in names if n not in all_configs]
-    if unknown:
-        _fail(f"unknown configs {unknown}")
-    configs = {n: all_configs[n] for n in names}
 
     # Fail on a bad manifest, an output that would overwrite an input or
     # a bad output directory before any solving or writing.
@@ -360,9 +353,9 @@ def main(argv: Optional[list[str]] = None) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         _fail(e)
+    configs = default_configs(max_conflicts=args.max_conflicts)
     result = run_corpus(instances, configs, timeout_s=args.timeout, jobs=args.jobs)
 
-    # Every output is written on every run, so none is left from an earlier one.
     write_records_csv(out_dir / "records.csv", result.records)
     write_summary_csv(out_dir / "summary.csv", result.summaries)
     write_series_csv(out_dir / "series.csv", result.series)

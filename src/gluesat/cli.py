@@ -66,12 +66,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> SolverConfig:
-    """The search options the arguments ask for. --timeout is not among
-    them: run_single turns it into the deadline it passes to solve()."""
-    return SolverConfig(glue_bump=args.glue_bump == "on", max_conflicts=args.max_conflicts)
-
-
 def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> None:
     import csv  # only runs that ask for --stats-csv load the module
 
@@ -135,7 +129,9 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
             print(f"error: {e}", file=err)
             return EXIT_ERROR
         proof = ProofWriter(proof_fh) if proof_fh is not None else None
-        solver = Solver(formula, config_from_args(args), proof=proof)
+        # --timeout is not a search option: it becomes the deadline below.
+        config = SolverConfig(glue_bump=args.glue_bump == "on", max_conflicts=args.max_conflicts)
+        solver = Solver(formula, config, proof=proof)
         # Parsing and setup spend the same budget; a deadline already
         # past stops the solver before its first propagation.
         deadline = None if args.timeout is None else started + args.timeout

@@ -47,19 +47,12 @@ class ClassCounters:
 
     __slots__ = ("decisions", "propagations", "conflicts", "lbd_sum", "lbd_count")
 
-    def __init__(
-        self,
-        decisions: int = 0,
-        propagations: int = 0,
-        conflicts: int = 0,
-        lbd_sum: int = 0,
-        lbd_count: int = 0,
-    ):
-        self.decisions = decisions
-        self.propagations = propagations
-        self.conflicts = conflicts
-        self.lbd_sum = lbd_sum
-        self.lbd_count = lbd_count
+    def __init__(self) -> None:
+        self.decisions = 0
+        self.propagations = 0
+        self.conflicts = 0
+        self.lbd_sum = 0
+        self.lbd_count = 0
 
 
 class MetricsReport(NamedTuple):

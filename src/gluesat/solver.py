@@ -2,12 +2,13 @@
 
 Trail-based assignment with two watched literals per clause, first-UIP
 conflict analysis, EVSIDS branching, phase saving, Luby restarts, and
-LBD-aware clause-database reduction (clauses with LBD <= GLUE_LBD are
-kept forever). Glue tracking and per-decision-class metrics live in the
-tracker and collector objects the solver owns; the one search-totals
-type is the MetricsReport that `finalize_report` folds from them, which
-`Solver.counters` and `SolveResult.counters` return. A DRAT proof
-writer can be attached to log every learnt clause and deletion.
+LBD-aware clause-database reduction on Glucose's schedule (the first at
+LEARNT_LIMIT learnts, then every LEARNT_LIMIT_GROWTH more; clauses with
+LBD <= GLUE_LBD are kept forever). Glue tracking and per-decision-class
+metrics live in the tracker and collector objects the solver owns; the
+one search-totals type is the MetricsReport that `finalize_report` folds
+from them, which `Solver.counters` and `SolveResult.counters` return. A
+DRAT proof writer can be attached to log every learnt clause and deletion.
 
 Assignments live in one array indexed by literal code (`value[lit]`, as
 CaDiCaL's `vals`): assigning a literal sets it to 1 and its negation
@@ -38,6 +39,9 @@ CLAUSE_ACT_LIMIT = 1e20
 CLAUSE_ACT_RESCALE = 1e-20
 CLAUSE_DECAY = 0.999
 RESTART_BASE = 100  # conflicts per unit of the Luby sequence
+# Glucose's clause-database schedule (Audemard & Simon, IJCAI 2009)
+LEARNT_LIMIT = 2000
+LEARNT_LIMIT_GROWTH = 300
 
 
 def luby(i: int) -> int:
@@ -71,12 +75,11 @@ class Verdict(Enum):
 
 
 class SolverConfig(NamedTuple):
-    """Search options. Immutable: derive a changed copy with `_replace`.
+    """Search options: the glue-bump switch and a conflict budget for
+    deterministic runs. Immutable: derive a changed copy with `_replace`.
     The time budget is not among them; it is the `deadline` of a solve."""
 
     glue_bump: bool = False
-    learnt_limit: int = 2000
-    learnt_limit_growth: int = 300
     max_conflicts: Optional[int] = None
 
 
@@ -136,7 +139,7 @@ class Solver:
             self.clauses: list[Clause] = []
             self.learnts: list[Clause] = []
             self.cla_inc = 1.0
-            self.learnt_limit = self.config.learnt_limit
+            self.learnt_limit = LEARNT_LIMIT
             self.restarts = 0
             self.conflicts_since_restart = 0
             self._root_conflict = False
@@ -394,7 +397,8 @@ class Solver:
         Clauses with LBD <= GLUE_LBD (glue and unit) and clauses currently
         serving as reasons are never deleted. The rest are ranked by
         (LBD ascending, activity descending) and the bottom half goes,
-        each deletion logged to the proof. Grows the reduction limit.
+        each deletion logged to the proof. Raises the reduction limit by
+        LEARNT_LIMIT_GROWTH.
         """
         reasons = self.reasons
         # A reason clause keeps its implied literal at lits[0] (MiniSat's
@@ -411,7 +415,7 @@ class Solver:
             if self.proof is not None:
                 self.proof.delete(c.to_ints())
         self.learnts = [c for c in self.learnts if id(c) not in doomed_ids]
-        self.learnt_limit += self.config.learnt_limit_growth
+        self.learnt_limit += LEARNT_LIMIT_GROWTH
         return len(doomed)
 
     # ---- restarts ----------------------------------------------------------

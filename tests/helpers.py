@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+import gluesat.solver
 from gluesat.formula import Formula
 from gluesat.gen import (
     parity_chain,
@@ -11,6 +15,19 @@ from gluesat.gen import (
     unit_chain,
 )
 from gluesat.solver import Solver
+
+
+@contextmanager
+def reduce_schedule(limit: int, growth: int):
+    """Run another clause-database schedule: the first reduction once the
+    learnts outnumber `limit`, each later one `growth` learnts on. Wrap
+    both building and solving: Solver.__init__ reads the limit and
+    reduce_db the growth."""
+    with (
+        mock.patch.object(gluesat.solver, "LEARNT_LIMIT", limit),
+        mock.patch.object(gluesat.solver, "LEARNT_LIMIT_GROWTH", growth),
+    ):
+        yield
 
 
 def watches_consistent(solver: Solver) -> bool:

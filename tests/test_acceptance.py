@@ -28,6 +28,7 @@ from helpers import (
     known_unsat_corpus,
     literal_values,
     oracle_corpus,
+    reduce_schedule,
 )
 from oracles import (
     centrality,
@@ -212,10 +213,9 @@ def test_invariant_suites(oracle_sweep):
     # glue permanence: force heavy reduction, no LBD <= 2 deletion ever
     deleted = []
     for f in (pigeonhole(5), pigeonhole(6)):
-        s = InstrumentedSolver(
-            f, SolverConfig(learnt_limit=25, learnt_limit_growth=10)
-        )
-        s.solve()
+        with reduce_schedule(25, 10):
+            s = InstrumentedSolver(f)
+            s.solve()
         deleted.extend(s.deleted_lbds)
     assert deleted
     assert all(lbd > 2 for lbd in deleted)

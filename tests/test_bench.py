@@ -565,16 +565,6 @@ def test_bench_main_rejects_nonpositive_counts(tmp_path, flag, value, no_solving
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("configs", [",", ""])
-def test_bench_main_no_configs_fails_before_solving(tmp_path, capsys, configs, no_solving):
-    man = tmp_path / "manifest.txt"
-    man.write_text("")
-    with pytest.raises(SystemExit) as exc:
-        bench_main(["--manifest", str(man), "--out-dir", str(tmp_path), "--configs", configs])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err == "error: no configs\n"
-
-
 def test_bench_main_refuses_to_overwrite_its_manifest(small_corpus, tmp_path, capsys, no_solving):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -593,31 +583,17 @@ def test_bench_main_refuses_to_overwrite_its_manifest(small_corpus, tmp_path, ca
 def test_bench_main_refuses_to_overwrite_series_with_one_config(
     small_corpus, tmp_path, capsys, no_solving
 ):
-    # series.csv is an output of every run, not only of a two-config one
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     man = out_dir / "series.csv"
     man.write_text("\n".join(small_corpus))
     before = man.read_bytes()
     with pytest.raises(SystemExit) as exc:
-        bench_main(["--manifest", str(man), "--out-dir", str(out_dir), "--configs", "baseline"])
+        bench_main(["--manifest", str(man), "--out-dir", str(out_dir)])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: series.csv ") and "the manifest" in err
     assert man.read_bytes() == before
-
-
-def test_bench_main_one_config_run_replaces_an_earlier_series(small_corpus, tmp_path):
-    man = tmp_path / "manifest.txt"
-    man.write_text("\n".join(small_corpus[:2]))
-    out_dir = tmp_path / "results"
-    args = ["--manifest", str(man), "--out-dir", str(out_dir), "--max-conflicts", "50000"]
-    bench_main(args)
-    assert len((out_dir / "series.csv").read_text().splitlines()) == 1 + 101
-    bench_main(args + ["--configs", "baseline"])
-    assert (out_dir / "series.csv").read_text().splitlines() == ["time_s,solved_diff"]
-    with open(out_dir / "summary.csv", newline="") as fh:
-        assert [r["config"] for r in csv.DictReader(fh)] == ["baseline"]
 
 
 def test_bench_main_refuses_to_overwrite_a_listed_instance(tmp_path, capsys, no_solving):

@@ -1,6 +1,6 @@
-"""Hypothesis fuzzing: the solver over random SolverConfigs and small
-formulas, both text parsers over byte-mutated valid inputs, and
-`parse_dimacs` against the token-at-a-time reference parser."""
+"""Hypothesis fuzzing: the solver over random SolverConfigs, reduce
+schedules and small formulas, both text parsers over byte-mutated valid
+inputs, and `parse_dimacs` against the token-at-a-time reference parser."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from gluesat.formula import CHUNK_LINES, DimacsError, Formula, parse_dimacs, to_
 from gluesat.gen import parity_chain, parity_contradiction, pigeonhole
 from gluesat.proof import ADD, DELETE, ProofWriter, check_rup, parse_drat
 from gluesat.solver import SolverConfig, Verdict
-from helpers import InstrumentedSolver, unassigned_argmax
+from helpers import InstrumentedSolver, reduce_schedule, unassigned_argmax
 from oracles import model_satisfies, parse_dimacs_reference, truth_table_satisfiable
 
 # ---- solver over SolverConfig ---------------------------------------------------
@@ -26,9 +26,12 @@ CRAFTED = (None, None, pigeonhole(3), pigeonhole(2), parity_contradiction(4), pa
 CONFIGS = st.builds(
     SolverConfig,
     glue_bump=st.booleans(),
-    learnt_limit=st.sampled_from([0, 1]) | st.integers(2, 8) | st.just(2000),
-    learnt_limit_growth=st.integers(0, 300),
     max_conflicts=st.none() | st.integers(1, 20),
+)
+# reduce_schedule's (learnt limit, growth)
+SCHEDULES = st.tuples(
+    st.sampled_from([0, 1]) | st.integers(2, 8) | st.just(2000),
+    st.integers(0, 300),
 )
 
 
@@ -71,10 +74,11 @@ class ArgmaxInstrumentedSolver(InstrumentedSolver):
         return lit
 
 
-@given(small_formulas(), CONFIGS)
-def test_solver_fuzz_over_configs(formula, config):
+@given(small_formulas(), CONFIGS, SCHEDULES)
+def test_solver_fuzz_over_configs(formula, config, schedule):
     sink = io.StringIO()
-    result = ArgmaxInstrumentedSolver(formula, config, proof=ProofWriter(sink)).solve()
+    with reduce_schedule(*schedule):
+        result = ArgmaxInstrumentedSolver(formula, config, proof=ProofWriter(sink)).solve()
     satisfiable = truth_table_satisfiable(formula)
     if result.verdict is Verdict.SAT:
         assert satisfiable

@@ -17,6 +17,7 @@ from gluesat.proof import (
     parse_drat,
 )
 from gluesat.solver import Solver, SolverConfig, Verdict
+from helpers import reduce_schedule
 from oracles import (
     first_rejected_lemma,
     model_satisfies,
@@ -78,9 +79,8 @@ def test_every_learnt_clause_has_one_add_and_deletes_match():
             return n
 
     sink = io.StringIO()
-    s = Audit(f, SolverConfig(learnt_limit=40, learnt_limit_growth=20),
-              proof=ProofWriter(sink))
-    result = s.solve()
+    with reduce_schedule(40, 20):
+        result = Audit(f, proof=ProofWriter(sink)).solve()
     assert result.verdict is Verdict.UNSAT
     events = parse_drat(sink.getvalue())
     adds = [tuple(e.lits) for e in events if e.kind == ADD]
@@ -264,7 +264,8 @@ def test_solver_proofs_verify_on_mixed_corpus():
 
 def test_proofs_with_deletions_verify():
     f = pigeonhole(6)
-    result, proof = solve_with_proof(f, learnt_limit=40, learnt_limit_growth=20)
+    with reduce_schedule(40, 20):
+        result, proof = solve_with_proof(f)
     assert result.verdict is Verdict.UNSAT
     assert any(e.kind == DELETE for e in parse_drat(proof))
     assert check_rup(f, proof) is True
@@ -284,32 +285,32 @@ def sweep_instance(rng):
     """One instance of the mid-size certification sweep."""
     family = rng.choice(("ksat", "ksat", "php", "parity"))
     if family == "ksat":
-        n = rng.randint(50, 300)
-        ratio = rng.choice((3.0, 3.5, 6.0, 7.0))  # away from the ~4.26 threshold
+        # away from the ~4.26 threshold: satisfiable up to 300 variables,
+        # unsatisfiable up to 150, where most refutations take under 300
+        # conflicts
+        ratio = rng.choice((3.0, 3.5, 7.0, 8.0))
+        n = rng.randint(50, 300 if ratio < 4 else 150)
         return random_ksat(n, int(n * ratio), seed=rng.randrange(1 << 30))
     if family == "php":
-        return pigeonhole(rng.randint(4, 6))
+        return pigeonhole(rng.randint(4, 5))
     return parity_contradiction(rng.randint(12, 30))
 
 
 def test_mid_size_verdicts_are_certified():
-    """Seeded sweep past the truth-table corpus: 120 instances of 20-300
-    variables, each under one random config with glue bumping off and
-    on, capped at 300 conflicts. Small learnt limits make reduce_db
-    delete clauses in the proofs. Every SAT model is evaluated and every
-    UNSAT proof checked."""
+    """Seeded sweep past the truth-table corpus: 170 instances of 20-300
+    variables, each under one random reduce schedule with glue bumping
+    off and on, capped at 300 conflicts. Small learnt limits make
+    reduce_db delete clauses in the proofs. Every SAT model is evaluated
+    and every UNSAT proof checked."""
     rng = random.Random(23)
     certified = with_deletions = 0
-    for _ in range(120):
+    for _ in range(170):
         f = sweep_instance(rng)
-        cfg = dict(
-            learnt_limit=rng.choice((1, 5, 20, 2000)),
-            learnt_limit_growth=rng.randint(0, 300),
-            max_conflicts=300,
-        )
+        schedule = (rng.choice((1, 5, 20, 2000)), rng.randint(0, 300))
         for gb in (False, True):
-            result, proof = solve_with_proof(f, glue_bump=gb, **cfg)
-            where = f"{f.num_vars} vars, glue_bump={gb}, {cfg}"
+            with reduce_schedule(*schedule):
+                result, proof = solve_with_proof(f, glue_bump=gb, max_conflicts=300)
+            where = f"{f.num_vars} vars, glue_bump={gb}, reduce schedule {schedule}"
             if result.verdict is Verdict.SAT:
                 assert model_satisfies(f, result.model), where
             elif result.verdict is Verdict.UNSAT:
@@ -321,8 +322,8 @@ def test_mid_size_verdicts_are_certified():
             else:
                 continue
             certified += 1
-    assert certified >= 100
-    assert with_deletions >= 10
+    assert certified >= 300
+    assert with_deletions >= 100
 
 
 def mutate_one_literal(events, rng):
@@ -398,12 +399,9 @@ def test_check_rup_matches_reference_on_adversarial_proofs(data):
     clause = st.lists(lit, min_size=min(n, 2), max_size=5, unique_by=abs)
     m = data.draw(st.integers(0, 6 * n), label="num_clauses")
     formula = Formula.from_ints(n, data.draw(st.lists(clause, min_size=m, max_size=m)))
-    _, proof = solve_with_proof(
-        formula,
-        glue_bump=data.draw(st.booleans(), label="glue_bump"),
-        learnt_limit=data.draw(st.sampled_from((1, 2000)), label="learnt_limit"),
-        learnt_limit_growth=0,
-    )
+    glue_bump = data.draw(st.booleans(), label="glue_bump")
+    with reduce_schedule(data.draw(st.sampled_from((1, 2000)), label="learnt_limit"), 0):
+        _, proof = solve_with_proof(formula, glue_bump=glue_bump)
     events = parse_drat(proof)
     known = [c.to_ints() for c in formula.clauses] + [e.lits for e in events if e.lits]
     for edit in data.draw(st.lists(st.sampled_from(EDITS), max_size=6), label="edits"):

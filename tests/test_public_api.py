@@ -1,10 +1,10 @@
-"""The package's public surface: the exported names, and the names that
-were deleted and must not come back."""
+"""The package's public surface: the exported names, the names that were
+deleted and must not come back, and every value a caller can set."""
 
 import pytest
 
 import gluesat
-from gluesat import bench, formula, glue, metrics, solver
+from gluesat import bench, cli, formula, glue, metrics, solver
 from gluesat.formula import Clause, Formula
 from gluesat.proof import ProofEvent, ProofWriter
 
@@ -61,18 +61,32 @@ def test_deleted_names_are_gone():
     assert not hasattr(Clause, "__len__")
     assert not hasattr(Clause, "learnt")  # a clause is learnt iff its lbd > 0
     assert not hasattr(metrics, "GF_SAMPLE_INTERVAL")
+    with pytest.raises(TypeError):  # its counters start at 0, set by no caller
+        metrics.ClassCounters(1)
     for name in ("GLUE", "NONGLUE", "PREAMBLE"):  # defined and never read
         assert not hasattr(metrics, name), name
     assert not hasattr(solver.Solver(Formula(1)), "formula")
 
 
 def test_solver_config_is_four_immutable_search_options():
-    # the time budget is solve()'s deadline, not a config field
-    assert solver.SolverConfig._fields == (
-        "glue_bump", "learnt_limit", "learnt_limit_growth", "max_conflicts"
-    )
+    # the time budget is solve()'s deadline, not a config field; the
+    # clause-database schedule is the module's LEARNT_LIMIT constants
+    assert solver.SolverConfig._fields == ("glue_bump", "max_conflicts")
     cfg = solver.SolverConfig()
     with pytest.raises(AttributeError):
         cfg.max_conflicts = 5
     assert cfg._replace(max_conflicts=5).max_conflicts == 5
     assert cfg.max_conflicts is None
+
+
+def test_command_line_options_are_pinned():
+    # a new option edits this pin; gluesat-bench always runs both configs
+    def options(parser):
+        return [opt for action in parser._actions for opt in action.option_strings]
+
+    assert options(cli.build_arg_parser()) == [
+        "-h", "--help", "--glue-bump", "--timeout", "--max-conflicts", "--proof", "--stats-csv",
+    ]
+    assert options(bench.build_arg_parser()) == [
+        "-h", "--help", "--manifest", "--out-dir", "--timeout", "--max-conflicts", "--jobs",
+    ]

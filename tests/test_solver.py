@@ -2,6 +2,7 @@ import io
 import math
 import random
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -21,6 +22,7 @@ from helpers import (
     force_decision,
     literal_values,
     oracle_corpus,
+    reduce_schedule,
     unassigned_argmax,
     watches_consistent,
 )
@@ -316,19 +318,21 @@ class ArgmaxOracleSolver(Solver):
 
 @pytest.mark.parametrize("glue_bump", [False, True], ids=["baseline", "gb"])
 @pytest.mark.parametrize(
-    "build, extra",
+    "build, max_conflicts, schedule",
     [
-        (lambda: pigeonhole(5), {}),
-        (lambda: parity_contradiction(12), {}),
-        (lambda: random_ksat(100, 426, seed=2), {"max_conflicts": 400, "learnt_limit": 100}),
+        (lambda: pigeonhole(5), None, None),
+        (lambda: parity_contradiction(12), None, None),
+        (lambda: random_ksat(100, 426, seed=2), 400, (100, 300)),
     ],
     ids=["php6_5", "parity12", "rand100_capped"],
 )
-def test_every_decision_is_the_unassigned_argmax(build, extra, glue_bump):
-    s = ArgmaxOracleSolver(build(), SolverConfig(glue_bump=glue_bump, **extra))
-    s.solve()
+def test_every_decision_is_the_unassigned_argmax(build, max_conflicts, schedule, glue_bump):
+    cfg = SolverConfig(glue_bump=glue_bump, max_conflicts=max_conflicts)
+    with reduce_schedule(*schedule) if schedule else nullcontext():
+        s = ArgmaxOracleSolver(build(), cfg)
+        s.solve()
     assert s.checked_decisions > 50
-    if "learnt_limit" in extra:
+    if schedule:
         assert s.reduce_db_calls > 0
 
 
@@ -561,10 +565,9 @@ def test_reduce_db_deletes_worse_half_of_candidates():
 
 
 def test_reduce_db_never_deletes_lbd2_in_real_runs():
-    s = InstrumentedSolver(
-        pigeonhole(6), SolverConfig(learnt_limit=30, learnt_limit_growth=10)
-    )
-    s.solve()
+    with reduce_schedule(30, 10):
+        s = InstrumentedSolver(pigeonhole(6))
+        s.solve()
     assert s.deleted_lbds  # reduction actually happened
     assert all(lbd > 2 for lbd in s.deleted_lbds)
 
@@ -572,8 +575,10 @@ def test_reduce_db_never_deletes_lbd2_in_real_runs():
 def test_verdicts_stable_with_and_without_reduction():
     for seed in range(6):
         f = random_ksat(25, 107, seed=seed + 40)
-        with_reduce = Solver(f, SolverConfig(learnt_limit=20, learnt_limit_growth=5)).solve()
-        without = Solver(f, SolverConfig(learnt_limit=10**9)).solve()
+        with reduce_schedule(20, 5):
+            with_reduce = Solver(f).solve()
+        with reduce_schedule(10**9, 0):
+            without = Solver(f).solve()
         assert with_reduce.verdict == without.verdict
         assert with_reduce.verdict in (Verdict.SAT, Verdict.UNSAT)
 

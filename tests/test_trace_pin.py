@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+from contextlib import nullcontext
 
 import pytest
 
@@ -20,25 +21,21 @@ from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
 from gluesat.metrics import STATS_CSV_HEADER
 from gluesat.proof import ProofWriter
 from gluesat.solver import Solver, SolverConfig
+from helpers import reduce_schedule
 
-# name -> (formula builder, extra SolverConfig fields)
+# name -> (formula builder, max_conflicts, reduce_schedule arguments or
+# None for the solver's own schedule)
 CASES = {
-    "php6_5": (lambda: pigeonhole(5), {}),
-    "rand40_s31": (lambda: random_ksat(40, 168, seed=31), {}),
-    "parity12": (lambda: parity_contradiction(12), {}),
+    "php6_5": (lambda: pigeonhole(5), None, None),
+    "rand40_s31": (lambda: random_ksat(40, 168, seed=31), None, None),
+    "parity12": (lambda: parity_contradiction(12), None, None),
     # capped before a verdict; the small learnt limit runs reduce_db, so
     # the proof text also pins the deletions
-    "rand100_capped": (
-        lambda: random_ksat(100, 426, seed=2),
-        {"max_conflicts": 400, "learnt_limit": 100, "learnt_limit_growth": 50},
-    ),
+    "rand100_capped": (lambda: random_ksat(100, 426, seed=2), 400, (100, 50)),
     # the scale of the rand3-par2 benchmark: n=150 at ratio 7 (UNSAT), and
     # n=150 capped with four reduce_db rounds over ~10-literal learnts
-    "rand150_r7": (lambda: random_ksat(150, 1050, seed=1), {}),
-    "rand150_capped": (
-        lambda: random_ksat(150, 639, seed=2),
-        {"max_conflicts": 600, "learnt_limit": 100, "learnt_limit_growth": 50},
-    ),
+    "rand150_r7": (lambda: random_ksat(150, 1050, seed=1), None, None),
+    "rand150_capped": (lambda: random_ksat(150, 639, seed=2), 600, (100, 50)),
 }
 
 # (case, config) -> (verdict, decision sha1, decisions, propagations,
@@ -71,11 +68,12 @@ class DecisionHashSolver(Solver):
 
 
 def trace_fingerprint(case: str, config: str) -> tuple:
-    build, extra = CASES[case]
+    build, max_conflicts, schedule = CASES[case]
     proof = io.StringIO()
-    cfg = SolverConfig(glue_bump=config == "gb", **extra)
-    s = DecisionHashSolver(build(), cfg, proof=ProofWriter(proof))
-    r = s.solve()
+    cfg = SolverConfig(glue_bump=config == "gb", max_conflicts=max_conflicts)
+    with reduce_schedule(*schedule) if schedule else nullcontext():
+        s = DecisionHashSolver(build(), cfg, proof=ProofWriter(proof))
+        r = s.solve()
     row = r.counters.csv_row(case, r.verdict.value, 0.0)  # its wall cell is deleted
     del row[STATS_CSV_HEADER.index("wall_time_s")]
     out = io.StringIO()
