@@ -4,12 +4,13 @@ from itertools import accumulate
 
 import pytest
 
-from gluesat.gen import pigeonhole, random_ksat, unit_chain
+from gluesat.gen import parity_contradiction, pigeonhole, random_ksat, unit_chain
 from gluesat.metrics import (
     STATS_CSV_HEADER,
     MetricsCollector,
     finalize_report,
 )
+from gluesat.proof import ADD, ProofWriter, parse_drat
 from gluesat.solver import RESTART_BASE, Solver, SolverConfig, Verdict
 from helpers import attach_classification_log
 from oracles import luby_sequence
@@ -111,6 +112,27 @@ def test_class_totals_partition_global_counters():
         )
         c = r.counters
         assert c.glue_decisions + c.nonglue_decisions == c.decisions
+
+
+@pytest.mark.parametrize("glue_bump", [False, True])
+def test_every_class_conflict_learns_one_lemma(glue_bump):
+    # the one conflict that learns nothing is the level-0 one, and it lands
+    # in the preamble; so a class's conflicts count its LBD samples
+    cases = [
+        (pigeonhole(5), Verdict.UNSAT),
+        (parity_contradiction(12), Verdict.UNSAT),
+        (random_ksat(150, 1050, seed=1), Verdict.UNSAT),
+        (random_ksat(40, 168, seed=31), Verdict.SAT),
+    ]
+    for formula, verdict in cases:
+        sink = io.StringIO()
+        s = Solver(formula, SolverConfig(glue_bump=glue_bump), proof=ProofWriter(sink))
+        assert s.solve().verdict is verdict
+        lemmas = [e for e in parse_drat(sink.getvalue()) if e.kind == ADD and e.lits]
+        m = s.metrics
+        assert len(lemmas) == m.glue.conflicts + m.nonglue.conflicts > 0
+        assert m.preamble.conflicts == (verdict is Verdict.UNSAT)
+        assert m.preamble.lbd_sum == 0
 
 
 # ---- finalize_report -----------------------------------------------------------
