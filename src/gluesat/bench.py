@@ -1,8 +1,8 @@
 """Corpus harness: baseline vs glue-bump A/B runs with PAR-2 scoring.
 
-`gluesat-bench` runs both `default_configs` on every listed instance;
-`run_corpus` takes any named configs, and builds the solved-difference
-series only when both `baseline` and `gb` are among them.
+`gluesat-bench` runs both `default_configs` on every listed instance
+and writes their solved-difference series; `run_corpus` takes any named
+configs.
 
 At most `jobs` worker processes run the (instance, config) pairs. Each
 worker is forked once and solves task after task, sent over its own
@@ -91,7 +91,6 @@ class Par2Summary(NamedTuple):
 class CorpusResult(NamedTuple):
     records: list[RunRecord]
     summaries: list[Par2Summary]
-    series: list[tuple[float, int]]
 
 
 def default_configs(max_conflicts: Optional[int] = None) -> dict[str, SolverConfig]:
@@ -226,11 +225,7 @@ def run_corpus(
 
     records.sort(key=lambda r: (r.instance, r.config))
     _check_verdict_agreement(records)
-    summaries = par2_summaries(records, timeout_s, sorted(configs))
-    series = []
-    if configs.keys() >= {"baseline", "gb"}:
-        series = solved_diff_series(records, timeout_s)
-    return CorpusResult(records, summaries, series)
+    return CorpusResult(records, par2_summaries(records, timeout_s, sorted(configs)))
 
 
 def _check_verdict_agreement(records: list[RunRecord]) -> None:
@@ -358,7 +353,7 @@ def main(argv: Optional[list[str]] = None) -> None:
 
     write_records_csv(out_dir / "records.csv", result.records)
     write_summary_csv(out_dir / "summary.csv", result.summaries)
-    write_series_csv(out_dir / "series.csv", result.series)
+    write_series_csv(out_dir / "series.csv", solved_diff_series(result.records, args.timeout))
 
     for s in result.summaries:
         print(

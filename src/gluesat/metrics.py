@@ -11,6 +11,8 @@ The end-of-solve report carries, per class, the propagation rate
 (propagations/decisions), the learning rate (conflicts/decisions) and
 the average LBD of clauses learnt under that class, plus the glue /
 nonglue variable pool fractions and the per-pool selection ratios.
+Every conflict above level 0 learns one clause and the level-0 one is
+the preamble's, so a class's average LBD is its LBD sum over its conflicts.
 Ratios with a zero denominator are reported as None and serialize to
 empty CSV cells.
 """
@@ -43,16 +45,16 @@ STATS_CSV_HEADER = ["instance", "verdict", "wall_time_s"] + STATS_COLUMNS
 
 
 class ClassCounters:
-    """Counters for one decision class (or the preamble bucket)."""
+    """Counters for one decision class (or the preamble bucket); each
+    glue or nonglue conflict adds its learnt clause's LBD to `lbd_sum`."""
 
-    __slots__ = ("decisions", "propagations", "conflicts", "lbd_sum", "lbd_count")
+    __slots__ = ("decisions", "propagations", "conflicts", "lbd_sum")
 
     def __init__(self) -> None:
         self.decisions = 0
         self.propagations = 0
         self.conflicts = 0
         self.lbd_sum = 0
-        self.lbd_count = 0
 
 
 class MetricsReport(NamedTuple):
@@ -111,35 +113,24 @@ class MetricsCollector:
         self._level_class.append(bucket)
         self._current = bucket
 
-    def record_propagation(self) -> None:
-        self._current.propagations += 1
+    def record_propagations(self, count: int) -> None:
+        """Credit `count` propagations to the current level's class."""
+        self._current.propagations += count
 
     def total(self, name: str) -> int:
         """One counter summed over the glue, nonglue and preamble buckets."""
         return sum(getattr(b, name) for b in (self.glue, self.nonglue, self.preamble))
 
-    def current_bucket(self) -> ClassCounters:
-        """The counters that propagations/conflicts attribute to right now.
-
-        Stable for the duration of one propagation fixpoint (it only
-        changes on decide/backtrack), so hot loops may cache it.
-        """
-        return self._current
-
     def record_conflict(self, lbd: Optional[int]) -> None:
-        """Attribute a conflict; lbd is None when no clause was learnt
-        (the terminal level-0 conflict)."""
+        """Attribute a conflict; lbd is None only for the terminal level-0
+        conflict, which learns no clause and lands in the preamble."""
         self._current.conflicts += 1
         if lbd is not None:
             self._current.lbd_sum += lbd
-            self._current.lbd_count += 1
 
     def on_backtrack(self, level: int) -> None:
         del self._level_class[level:]
         self._current = self._level_class[-1] if self._level_class else self.preamble
-
-    def sample_gf(self, conflicts: int, gf: float) -> None:
-        self.gf_series.append((conflicts, gf))
 
 
 def _ratio(num: float, den: float) -> Optional[float]:
@@ -169,10 +160,10 @@ def finalize_report(
         nonglue_decisions=ng.decisions,
         pr_glue=_ratio(g.propagations, g.decisions),
         lr_glue=_ratio(g.conflicts, g.decisions),
-        albd_glue=_ratio(g.lbd_sum, g.lbd_count),
+        albd_glue=_ratio(g.lbd_sum, g.conflicts),
         pr_nonglue=_ratio(ng.propagations, ng.decisions),
         lr_nonglue=_ratio(ng.conflicts, ng.decisions),
-        albd_nonglue=_ratio(ng.lbd_sum, ng.lbd_count),
+        albd_nonglue=_ratio(ng.lbd_sum, ng.conflicts),
         gf=gf,
         ngf=ngf,
         r_glue=None if not gf else g.decisions / gf,

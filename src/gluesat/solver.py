@@ -140,8 +140,7 @@ class Solver:
             self.learnts: list[Clause] = []
             self.cla_inc = 1.0
             self.learnt_limit = LEARNT_LIMIT
-            self.restarts = 0
-            self.conflicts_since_restart = 0
+            self.next_restart = RESTART_BASE  # the conflict total that restarts next
             self._root_conflict = False
 
             # Copy the original clauses in order: watch each one of two or
@@ -184,7 +183,7 @@ class Solver:
         self.reasons[v] = reason
         self.trail.append(lit)
         if reason is not None:
-            self.metrics.record_propagation()
+            self.metrics.record_propagations(1)
 
     def _watch(self, clause: Clause) -> None:
         self.watches[clause.lits[0]].append(clause)
@@ -242,7 +241,7 @@ class Solver:
                 else:
                     if fv < 0:
                         self.qhead = qhead
-                        self.metrics.current_bucket().propagations += len(trail) - start
+                        self.metrics.record_propagations(len(trail) - start)
                         return c
                     value[first] = 1
                     value[first ^ 1] = -1
@@ -252,7 +251,7 @@ class Solver:
                     trail.append(first)
                     i += 1
         self.qhead = qhead
-        self.metrics.current_bucket().propagations += len(trail) - start
+        self.metrics.record_propagations(len(trail) - start)
         return None
 
     # ---- branching -------------------------------------------------------
@@ -420,16 +419,11 @@ class Solver:
 
     # ---- restarts ----------------------------------------------------------
 
-    def should_restart(self) -> bool:
-        bound = RESTART_BASE * luby(self.restarts + 1)
-        return self.conflicts_since_restart >= bound
-
-    def _restart(self) -> None:
-        """Return to level 0, first sampling (conflicts, glue fraction)."""
-        metrics = self.metrics
-        metrics.sample_gf(metrics.total("conflicts"), self.glue.glue_var_count / self.num_vars)
-        self.restarts += 1
-        self.conflicts_since_restart = 0
+    def _restart(self, conflicts: int) -> None:
+        """Sample (conflicts, glue fraction), set the next Luby restart, go to level 0."""
+        series = self.metrics.gf_series
+        series.append((conflicts, self.glue.glue_var_count / self.num_vars))
+        self.next_restart = conflicts + RESTART_BASE * luby(len(series) + 1)
         if self.current_level > 0:
             self.backtrack(0)
 
@@ -453,7 +447,6 @@ class Solver:
                 break
             confl = self.propagate()
             if confl is not None:
-                self.conflicts_since_restart += 1
                 if self.current_level == 0:
                     self._root_conflict = True
                     break
@@ -466,10 +459,11 @@ class Solver:
                 self._enqueue(lits[0], clause)
                 self.activities.decay()
                 self.cla_inc /= CLAUSE_DECAY
-                if self.should_restart():
-                    self._restart()
+                conflicts = self.metrics.total("conflicts")
+                if conflicts >= self.next_restart:
+                    self._restart(conflicts)
                 cap = cfg.max_conflicts
-                if cap is not None and self.metrics.total("conflicts") >= cap:
+                if cap is not None and conflicts >= cap:
                     break
             else:
                 if len(self.learnts) > self.learnt_limit:
@@ -491,4 +485,4 @@ class Solver:
             verdict = Verdict.UNSAT
         if self.proof is not None:
             self.proof.flush()
-        return SolveResult(verdict, model, self.counters, self.restarts)
+        return SolveResult(verdict, model, self.counters, len(self.metrics.gf_series))

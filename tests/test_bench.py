@@ -174,7 +174,8 @@ def test_run_corpus_end_to_end(small_corpus, tmp_path):
     assert {s.config for s in result.summaries} == {"baseline", "gb"}
     for s in result.summaries:
         assert s.solved_sat + s.solved_unsat == len(small_corpus)
-    assert result.series and result.series[0][0] == 0.0
+    series = solved_diff_series(result.records, 60.0)
+    assert series and series[0][0] == 0.0
 
     records_csv = tmp_path / "records.csv"
     write_records_csv(records_csv, result.records)
@@ -580,7 +581,7 @@ def test_bench_main_refuses_to_overwrite_its_manifest(small_corpus, tmp_path, ca
     assert sorted(os.listdir(out_dir)) == ["records.csv"]
 
 
-def test_bench_main_refuses_to_overwrite_series_with_one_config(
+def test_bench_main_refuses_to_overwrite_series_csv(
     small_corpus, tmp_path, capsys, no_solving
 ):
     out_dir = tmp_path / "out"
@@ -656,7 +657,7 @@ def harness_outputs(tmp_path_factory):
     result = run_corpus(paths, default_configs(max_conflicts=300), timeout_s=60.0, jobs=1)
     write_records_csv(d / "records.csv", result.records)
     write_summary_csv(d / "summary.csv", result.summaries)
-    write_series_csv(d / "series.csv", result.series)
+    write_series_csv(d / "series.csv", solved_diff_series(result.records, 60.0))
     return d
 
 

@@ -35,15 +35,15 @@ def test_decision_with_positive_glue_level_is_glue():
 def test_propagations_attributed_to_latest_decision_class():
     m = MetricsCollector()
     m.record_decision(0, is_glue=True)
-    for _ in range(10):
-        m.record_propagation()
+    m.record_propagations(7)
+    m.record_propagations(3)
     assert m.glue.propagations == 10
     assert m.nonglue.propagations == 0
 
 
 def test_preamble_collects_level0_work():
     m = MetricsCollector()
-    m.record_propagation()  # before any decision
+    m.record_propagations(1)  # before any decision
     m.record_conflict(None)
     assert m.preamble.propagations == 1
     assert m.preamble.conflicts == 1
@@ -56,9 +56,9 @@ def test_attribution_follows_backtracking():
     m.record_decision(1, is_glue=False)  # level 2
     m.record_conflict(3)  # attributed to nonglue (level 2)
     m.on_backtrack(1)
-    m.record_propagation()  # attributed to glue again (level 1)
+    m.record_propagations(1)  # attributed to glue again (level 1)
     m.on_backtrack(0)
-    m.record_propagation()  # preamble now
+    m.record_propagations(1)  # preamble now
     assert m.nonglue.conflicts == 1
     assert m.glue.propagations == 1
     assert m.preamble.propagations == 1
@@ -69,10 +69,13 @@ def test_conflict_lbd_folding():
     m.record_decision(0, is_glue=True)
     m.record_conflict(4)
     m.record_conflict(2)
-    m.record_conflict(None)  # no clause learnt: counted, not folded
-    assert m.glue.conflicts == 3
+    m.on_backtrack(0)
+    m.record_conflict(None)  # level 0, no clause learnt: counted, not folded
+    assert m.glue.conflicts == 2
     assert m.glue.lbd_sum == 6
-    assert m.glue.lbd_count == 2
+    assert (m.preamble.conflicts, m.preamble.lbd_sum) == (1, 0)
+    r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=1)
+    assert r.albd_glue == 3.0
 
 
 def test_classification_matches_glue_log_replay():
@@ -143,8 +146,7 @@ def test_pr_is_propagations_per_decision():
     m.record_decision(0, is_glue=True)
     for _ in range(9):
         m.record_decision(1, is_glue=True)
-    for _ in range(100):
-        m.record_propagation()
+    m.record_propagations(100)
     r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=5)
     assert (r.decisions, r.propagations, r.conflicts) == (10, 100, 0)
     assert r.pr_glue == 10.0
@@ -210,8 +212,8 @@ def test_r_glue_absent_when_gf_zero():
 
 def test_gf_series_sampling():
     m = MetricsCollector()
-    m.sample_gf(10_000, 0.25)
-    m.sample_gf(20_000, 0.5)
+    m.gf_series.append((10_000, 0.25))
+    m.gf_series.append((20_000, 0.5))
     r = finalize_report(m, 0, 5, 10)
     assert r.gf_series == [(10_000, 0.25), (20_000, 0.5)]
     assert [g for _, g in r.gf_series] == sorted(g for _, g in r.gf_series)

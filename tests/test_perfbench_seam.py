@@ -90,3 +90,19 @@ def test_corpus_reads_the_harness_records(perfbench, tmp_path):
         c = Solver(formulas[r["instance"]], worker.solver_config("gb", 1000)).solve().counters
         assert r["counts"] == [c.decisions, c.propagations, c.conflicts]
         assert r["error"] == ""
+
+
+@pytest.mark.parametrize("config", ["baseline", "gb"])
+def test_traced_restarts_read_the_gf_series(perfbench, config, tmp_path):
+    # perfbench's solver.restarts reads SolveResult.restarts, which is the
+    # number of glue-fraction samples; PHP(6,5) restarts once
+    formula = pigeonhole(5)
+    cnf = tmp_path / "php6.cnf"
+    cnf.write_text(to_dimacs(formula))
+    worker = perfbench.worker
+    args = {"max_conflicts": None, "emit_proof": False, "dir": str(tmp_path)}
+    out = worker._trace_one(
+        perfbench.spans.SpanRecorder(), {"name": "php6", "path": str(cnf)}, config, args
+    )
+    result = Solver(formula, worker.solver_config(config)).solve()
+    assert result.restarts == len(result.counters.gf_series) == out["restarts"] == 1

@@ -65,10 +65,18 @@ def test_deleted_names_are_gone():
         metrics.ClassCounters(1)
     for name in ("GLUE", "NONGLUE", "PREAMBLE"):  # defined and never read
         assert not hasattr(metrics, name), name
-    assert not hasattr(solver.Solver(Formula(1)), "formula")
+    # each search count is kept once: gf_series counts the restarts, the
+    # buckets count conflicts, and a class's conflicts count its LBDs
+    s = solver.Solver(Formula(1))
+    for name in ("formula", "restarts", "conflicts_since_restart", "should_restart"):
+        assert not hasattr(s, name), name
+    assert "lbd_count" not in metrics.ClassCounters.__slots__
+    for name in ("record_propagation", "current_bucket", "sample_gf"):
+        assert not hasattr(metrics.MetricsCollector, name), name
+    assert "series" not in bench.CorpusResult._fields
 
 
-def test_solver_config_is_four_immutable_search_options():
+def test_solver_config_is_two_immutable_search_options():
     # the time budget is solve()'s deadline, not a config field; the
     # clause-database schedule is the module's LEARNT_LIMIT constants
     assert solver.SolverConfig._fields == ("glue_bump", "max_conflicts")

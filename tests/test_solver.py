@@ -592,11 +592,13 @@ def test_luby_prefix():
 
 
 def test_should_restart_boundary():
-    s = Solver(Formula(2, []))
-    s.conflicts_since_restart = 99
-    assert not s.should_restart()
-    s.conflicts_since_restart = 100
-    assert s.should_restart()
+    # the first restart fires at conflict RESTART_BASE, not one before
+    f = pigeonhole(6)  # PHP(7,6)
+    r = Solver(f, SolverConfig(max_conflicts=99)).solve()
+    assert (r.counters.conflicts, r.restarts, r.counters.gf_series) == (99, 0, [])
+    r = Solver(f, SolverConfig(max_conflicts=100)).solve()
+    assert (r.counters.conflicts, r.restarts) == (100, 1)
+    assert [c for c, _ in r.counters.gf_series] == [100]
 
 
 def test_restart_count_matches_luby_oracle_at_10000_conflicts():
