@@ -37,9 +37,6 @@ class GlueTracker:
         self.glue_clause_count = 0
         self.glue_var_count = 0
 
-    def is_glue_var(self, var: int) -> bool:
-        return self.glue_level[var] > 0
-
     def on_glue_clause_learned(self, clause: Clause) -> None:
         """Raise the glue level of every variable in a new glue clause.
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-STATS_CSV_VERSION = 1
 # The MetricsReport fields that make up a stats row, in column order.
 STATS_COLUMNS = [
     "decisions",

@@ -84,10 +84,11 @@ def parse_drat(text: str) -> list[ProofEvent]:
 class _ClauseDb:
     """Watched-literal clause store for repeated RUP propagations.
 
-    A literal l is coded once, at add, as 2*|l| + (l < 0), so its
-    negation is code ^ 1. `value` is a flat list indexed by code: an
-    assignment sets value[c] = 1 and value[c ^ 1] = -1. A clause is a
-    list of distinct codes whose first two are watched.
+    It takes literals as codes only: check_rup codes each signed literal
+    l once, as 2*|l| + (l < 0), so its negation is code ^ 1. `value` is a
+    flat list indexed by code: an assignment sets value[c] = 1 and
+    value[c ^ 1] = -1. A clause is a list of distinct codes whose first
+    two are watched, and deletions find it by its sorted codes.
 
     There are two watch arrays, `formula_watches` for the formula's
     clauses and `lemma_watches` for proof lemmas; entry c of each holds
@@ -118,15 +119,15 @@ class _ClauseDb:
         self.lemma_watches: _Watches = [[] for _ in self.value]
         self.units: list[int] = []  # codes of singleton clauses
         self.has_empty = False
-        # sorted-tuple key -> live (watch array, clause) pairs, for deletions
+        # sorted codes -> live (watch array, clause) pairs, for deletions
         self.registry: dict[tuple[int, ...], list[tuple[_Watches, list[int]]]] = {}
 
-    def add(self, lits: Sequence[int], lemma: bool) -> None:
+    def add(self, codes: Sequence[int], lemma: bool) -> None:
         """Add a formula clause, or a proof lemma if `lemma` is true."""
         # a repeated literal would take both watches and hide the clause's unit
-        clause = list(dict.fromkeys(2 * abs(l) + (l < 0) for l in lits))
+        clause = list(dict.fromkeys(codes))
         watches = self.lemma_watches if lemma else self.formula_watches
-        self.registry.setdefault(tuple(sorted(lits)), []).append((watches, clause))
+        self.registry.setdefault(tuple(sorted(codes)), []).append((watches, clause))
         if not clause:
             self.has_empty = True
         elif len(clause) == 1:
@@ -135,11 +136,11 @@ class _ClauseDb:
             watches[clause[0]].append(clause)
             watches[clause[1]].append(clause)
 
-    def delete(self, lits: Sequence[int]) -> None:
+    def delete(self, codes: Sequence[int]) -> None:
         """Drop the last added clause with these literals, from whichever
         array watches it; unknown clauses are a no-op (deleting a clause
         never makes a proof unsound)."""
-        bucket = self.registry.get(tuple(sorted(lits)))
+        bucket = self.registry.get(tuple(sorted(codes)))
         if not bucket:
             return
         watches, clause = bucket.pop()
@@ -153,7 +154,7 @@ class _ClauseDb:
             del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
 
     def propagates_to_conflict(self, assumptions: Sequence[int]) -> bool:
-        """Assume the given literals, unit propagate, report conflict.
+        """Assume the given codes, unit propagate, report conflict.
 
         All assignments are undone before returning.
         """
@@ -164,7 +165,7 @@ class _ClauseDb:
         lemma_watches = self.lemma_watches
         trail: list[int] = []
         conflict = False
-        for lit in [2 * abs(l) + (l < 0) for l in assumptions] + self.units:
+        for lit in [*assumptions, *self.units]:
             if value[lit] < 0:
                 conflict = True
                 break
@@ -219,6 +220,11 @@ class _ClauseDb:
         return conflict
 
 
+def _codes(lits: Iterable[int]) -> list[int]:
+    """The checker's code of each signed literal l: 2*|l| + (l < 0)."""
+    return [2 * abs(l) + (l < 0) for l in lits]
+
+
 def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool:
     """True iff every added clause is RUP in order and the proof reaches
     the empty clause.
@@ -231,15 +237,16 @@ def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool
 
     db = _ClauseDb(max_var)
     for clause in formula.clauses:
-        db.add(clause.to_ints(), lemma=False)
+        db.add(_codes(clause.to_ints()), lemma=False)
 
     for ev in events:
+        codes = _codes(ev.lits)  # one line at a time: no coded copy of the proof
         if ev.kind == DELETE:
-            db.delete(ev.lits)
+            db.delete(codes)
             continue
-        if not db.propagates_to_conflict([-l for l in ev.lits]):
+        if not db.propagates_to_conflict([c ^ 1 for c in codes]):
             return False
-        if not ev.lits:
+        if not codes:
             return True  # verified empty clause: unsatisfiability derived
-        db.add(ev.lits, lemma=True)
+        db.add(codes, lemma=True)
     return False  # proof never derived the empty clause

@@ -185,14 +185,6 @@ class Solver:
         if reason is not None:
             self.metrics.record_propagations(1)
 
-    def _watch(self, clause: Clause) -> None:
-        self.watches[clause.lits[0]].append(clause)
-        self.watches[clause.lits[1]].append(clause)
-
-    def _unwatch(self, clause: Clause) -> None:
-        self.watches[clause.lits[0]].remove(clause)
-        self.watches[clause.lits[1]].remove(clause)
-
     # ---- propagation -----------------------------------------------------
 
     def propagate(self) -> Optional[Clause]:
@@ -270,7 +262,7 @@ class Solver:
         v = heap.pop_max()
         while value[2 * v] != 0:
             v = heap.pop_max()
-        self.metrics.record_decision(v, self.glue.is_glue_var(v))
+        self.metrics.record_decision(v, self.glue.glue_level[v] > 0)
         self.trail_lim.append(len(self.trail))
         lit = 2 * v + (0 if self.phases[v] else 1)
         self._enqueue(lit, None)
@@ -376,7 +368,8 @@ class Solver:
         self.learnts.append(c)  # before the bump, so a rescale it fires covers c
         self._bump_clause_activity(c)
         if len(lits) >= 2:
-            self._watch(c)
+            self.watches[lits[0]].append(c)
+            self.watches[lits[1]].append(c)
         if self.proof is not None:
             self.proof.add(c.to_ints())
         return c
@@ -410,7 +403,8 @@ class Solver:
         doomed = candidates[len(candidates) - len(candidates) // 2 :]
         doomed_ids = {id(c) for c in doomed}
         for c in doomed:
-            self._unwatch(c)
+            self.watches[c.lits[0]].remove(c)
+            self.watches[c.lits[1]].remove(c)
             if self.proof is not None:
                 self.proof.delete(c.to_ints())
         self.learnts = [c for c in self.learnts if id(c) not in doomed_ids]

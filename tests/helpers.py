@@ -90,7 +90,7 @@ def force_decision(solver: Solver, ext_lit: int) -> int:
     trail into known shapes this way)."""
     v = abs(ext_lit) - 1
     lit = 2 * v + (0 if ext_lit > 0 else 1)
-    solver.metrics.record_decision(v, solver.glue.is_glue_var(v))
+    solver.metrics.record_decision(v, solver.glue.glue_level[v] > 0)
     solver.trail_lim.append(len(solver.trail))
     solver._enqueue(lit, None)
     return lit

@@ -208,7 +208,7 @@ def test_glue_membership_is_monotone_during_search():
         def decide(self):
             lit = super().decide()
             v = lit >> 1
-            if self.glue.is_glue_var(v):
+            if self.glue.glue_level[v] > 0:
                 ever_glue.add(v)
             else:
                 assert v not in ever_glue, "glue status must never revert"

@@ -184,6 +184,11 @@ def test_repeated_literal_still_propagates():
     assert check_rup(f, "1 1 2 0\nd 2 1 1 0\n0\n") is False
 
 
+def codes(lits):
+    """_ClauseDb takes checker codes: 2*|l| + (l < 0) per signed literal."""
+    return [2 * abs(l) + (l < 0) for l in lits]
+
+
 def test_delete_reaches_the_array_that_watches_the_clause():
     # (1 2) is a formula clause and is re-added as the lemma (2 1); the
     # lemma 3 needs (1 2), and the empty clause then follows from 3
@@ -192,16 +197,16 @@ def test_delete_reaches_the_array_that_watches_the_clause():
     assert check_rup(f, "2 1 0\nd 1 2 0\nd 1 2 0\n3 0\n0\n") is False
 
     db = _ClauseDb(4)
-    db.add([1, 2], lemma=False)
-    db.add([2, 1], lemma=True)
+    db.add(codes([1, 2]), lemma=False)
+    db.add(codes([2, 1]), lemma=True)
     assert sum(map(len, db.formula_watches)) == sum(map(len, db.lemma_watches)) == 2
-    db.delete([1, 2])  # the last added copy goes: the lemma
+    db.delete(codes([1, 2]))  # the last added copy goes: the lemma
     assert not any(db.lemma_watches)
     assert sum(map(len, db.formula_watches)) == 2
-    assert db.propagates_to_conflict([-1, -2]) is True
-    db.delete([2, 1])
+    assert db.propagates_to_conflict(codes([-1, -2])) is True
+    db.delete(codes([2, 1]))
     assert not any(db.formula_watches)
-    assert db.propagates_to_conflict([-1, -2]) is False
+    assert db.propagates_to_conflict(codes([-1, -2])) is False
 
 
 # (-1 2) is derived as a lemma and the formula clauses that gave it are
@@ -228,13 +233,13 @@ def test_non_rup_lemma_is_rejected_after_both_arrays_reach_fixpoint():
 
     db = _ClauseDb(7)
     for c in ([-2, 4], [-2, -4, 6]):
-        db.add(c, lemma=False)
-    db.add([-1, 2], lemma=True)
-    db.add([-6, -1, -7], lemma=True)  # fires only after the formula step
-    assert db.propagates_to_conflict([1]) is False
+        db.add(codes(c), lemma=False)
+    db.add(codes([-1, 2]), lemma=True)
+    db.add(codes([-6, -1, -7]), lemma=True)  # fires only after the formula step
+    assert db.propagates_to_conflict(codes([1])) is False
     assert not any(db.value)  # every assignment undone
-    db.add([7, -6], lemma=False)  # 6 -> 7 now meets the lemma's -7
-    assert db.propagates_to_conflict([1]) is True
+    db.add(codes([7, -6]), lemma=False)  # 6 -> 7 now meets the lemma's -7
+    assert db.propagates_to_conflict(codes([1])) is True
     assert not any(db.value)
 
 
@@ -395,7 +400,7 @@ def test_check_rup_matches_reference_on_adversarial_proofs(data):
     solver proofs of small random formulas, each with adversarial events
     spliced in; whatever it accepts is also a semantically valid proof."""
     n = data.draw(st.integers(1, 10), label="num_vars")
-    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    lit = st.sampled_from([l for v in range(1, n + 1) for l in (v, -v)])
     clause = st.lists(lit, min_size=min(n, 2), max_size=5, unique_by=abs)
     m = data.draw(st.integers(0, 6 * n), label="num_clauses")
     formula = Formula.from_ints(n, data.draw(st.lists(clause, min_size=m, max_size=m)))

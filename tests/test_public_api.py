@@ -74,6 +74,12 @@ def test_deleted_names_are_gone():
     for name in ("record_propagation", "current_bucket", "sample_gf"):
         assert not hasattr(metrics.MetricsCollector, name), name
     assert "series" not in bench.CorpusResult._fields
+    # each fact is computed once: callers read glue_level and the watch
+    # slots directly, and no stats CSV writes a version
+    assert not hasattr(glue.GlueTracker, "is_glue_var")
+    for name in ("_watch", "_unwatch"):
+        assert not hasattr(solver.Solver, name), name
+    assert not hasattr(metrics, "STATS_CSV_VERSION")
 
 
 def test_solver_config_is_two_immutable_search_options():

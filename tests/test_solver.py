@@ -450,7 +450,8 @@ def _fabricate_learnt(s, ext_lits, lbd, activity=0.0):
     c = Clause([2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in ext_lits],
                lbd=lbd, activity=activity)
     s.learnts.append(c)
-    s._watch(c)
+    s.watches[c.lits[0]].append(c)
+    s.watches[c.lits[1]].append(c)
     return c
 
 
@@ -591,7 +592,7 @@ def test_luby_prefix():
     assert [luby(i) for i in range(1, 64)] == luby_sequence(63)
 
 
-def test_should_restart_boundary():
+def test_first_restart_fires_at_restart_base():
     # the first restart fires at conflict RESTART_BASE, not one before
     f = pigeonhole(6)  # PHP(7,6)
     r = Solver(f, SolverConfig(max_conflicts=99)).solve()
