@@ -24,10 +24,11 @@ GLUE_LBD = 2
 class GlueTracker:
     """Per-variable glue levels and the derived bump-on-unassign hook.
 
-    Tracking is always on (the metrics module classifies decisions with
-    it); only the activity bumping is gated by `bump_enabled`, which the
-    solver reads before calling `on_unassigned`. All counts are
-    cumulative over a solve and never decrease.
+    Tracking is always on (`Solver.decide` classifies each decision with
+    it for the metrics collector); only the activity bumping is gated by
+    `bump_enabled`, which the solver reads before calling
+    `on_unassigned`. All counts are cumulative over a solve and never
+    decrease.
     """
 
     def __init__(self, num_vars: int, bump_enabled: bool = True):

@@ -101,20 +101,19 @@ class MetricsCollector:
         self.glue = ClassCounters()
         self.nonglue = ClassCounters()
         self.preamble = ClassCounters()
-        # class label of the decision that opened each level (index 0 -> level 1)
-        self._level_class: list[ClassCounters] = []
-        self._current: ClassCounters = self.preamble
+        # class of each open level, index = level: the preamble at level 0,
+        # then the class of each level's decision; the top is the current one
+        self._level_class: list[ClassCounters] = [self.preamble]
         self.gf_series: list[tuple[int, float]] = []
 
     def record_decision(self, var: int, is_glue: bool) -> None:
         bucket = self.glue if is_glue else self.nonglue
         bucket.decisions += 1
         self._level_class.append(bucket)
-        self._current = bucket
 
     def record_propagations(self, count: int) -> None:
         """Credit `count` propagations to the current level's class."""
-        self._current.propagations += count
+        self._level_class[-1].propagations += count
 
     def total(self, name: str) -> int:
         """One counter summed over the glue, nonglue and preamble buckets."""
@@ -123,13 +122,12 @@ class MetricsCollector:
     def record_conflict(self, lbd: Optional[int]) -> None:
         """Attribute a conflict; lbd is None only for the terminal level-0
         conflict, which learns no clause and lands in the preamble."""
-        self._current.conflicts += 1
+        self._level_class[-1].conflicts += 1
         if lbd is not None:
-            self._current.lbd_sum += lbd
+            self._level_class[-1].lbd_sum += lbd
 
     def on_backtrack(self, level: int) -> None:
-        del self._level_class[level:]
-        self._current = self._level_class[-1] if self._level_class else self.preamble
+        del self._level_class[level + 1 :]
 
 
 def _ratio(num: float, den: float) -> Optional[float]:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import io
 from contextlib import contextmanager
 from unittest import mock
 
 import gluesat.solver
-from gluesat.formula import Formula
+from gluesat.formula import Formula, to_dimacs
 from gluesat.gen import (
     parity_chain,
     parity_contradiction,
@@ -14,7 +15,31 @@ from gluesat.gen import (
     random_ksat,
     unit_chain,
 )
-from gluesat.solver import Solver
+from gluesat.proof import ProofWriter
+from gluesat.solver import Solver, SolverConfig, SolveResult
+
+SAFETY_CONFLICT_BUDGET = 500_000  # guards against a runaway solve; no test run reaches it
+_shared_solves: dict[tuple[str, bool], tuple[SolveResult, str]] = {}
+
+
+def solve_with_proof(formula: Formula, **cfg) -> tuple[SolveResult, str]:
+    """Solve under SolverConfig(**cfg): the result and the DRAT proof text."""
+    sink = io.StringIO()
+    result = Solver(formula, SolverConfig(**cfg), proof=ProofWriter(sink)).solve()
+    return result, sink.getvalue()
+
+
+def solve_shared(formula: Formula, glue_bump: bool, cap: int = SAFETY_CONFLICT_BUDGET):
+    """solve_with_proof once per pytest session per clause set and switch, capped at
+    SAFETY_CONFLICT_BUDGET; later calls get the same immutable result and proof text.
+    Each call asserts that its own `cap` did not bind: it is the run that cap would make."""
+    key = (to_dimacs(formula), glue_bump)
+    if key not in _shared_solves:
+        cfg = {"glue_bump": glue_bump, "max_conflicts": SAFETY_CONFLICT_BUDGET}
+        _shared_solves[key] = solve_with_proof(formula, **cfg)
+    result, proof = _shared_solves[key]
+    assert result.counters.conflicts < cap, "the cap bound: a capped run would differ"
+    return result, proof
 
 
 @contextmanager

@@ -20,15 +20,18 @@ from gluesat.formula import to_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat, unit_chain
 from gluesat.glue import GlueTracker
 from gluesat.metrics import STATS_CSV_HEADER
-from gluesat.proof import ProofWriter, check_rup, parse_drat
+from gluesat.proof import check_rup, parse_drat
 from gluesat.solver import Solver, SolverConfig, Verdict, compute_lbd
 from helpers import (
+    SAFETY_CONFLICT_BUDGET,
     InstrumentedSolver,
     directional_corpus,
     known_unsat_corpus,
     literal_values,
     oracle_corpus,
     reduce_schedule,
+    solve_shared,
+    solve_with_proof,
 )
 from oracles import (
     centrality,
@@ -39,27 +42,20 @@ from oracles import (
 )
 from test_proof import mutate_one_literal
 
-SAFETY_CONFLICT_BUDGET = 500_000  # never reached on <=20-variable inputs
-
 
 @pytest.fixture(scope="module")
 def oracle_sweep():
     """Solve the whole small-instance corpus once, under both configs,
     with proofs, against the truth-table oracle."""
     t0 = time.perf_counter()
-    corpus = oracle_corpus()
     entries = []
-    for name, formula in corpus:
-        expected_sat = truth_table_satisfiable(formula)
-        runs = {}
-        for label, gb in (("baseline", False), ("gb", True)):
-            sink = io.StringIO()
-            cfg = SolverConfig(glue_bump=gb, max_conflicts=SAFETY_CONFLICT_BUDGET)
-            result = Solver(formula, cfg, proof=ProofWriter(sink)).solve()
-            runs[label] = (result, sink.getvalue())
-        entries.append(SimpleNamespace(
-            name=name, formula=formula, expected_sat=expected_sat, runs=runs
-        ))
+    for name, formula in oracle_corpus():
+        runs = {
+            label: solve_with_proof(formula, glue_bump=gb, max_conflicts=SAFETY_CONFLICT_BUDGET)
+            for label, gb in (("baseline", False), ("gb", True))
+        }
+        sat = truth_table_satisfiable(formula)
+        entries.append(SimpleNamespace(name=name, formula=formula, expected_sat=sat, runs=runs))
     return SimpleNamespace(entries=entries, elapsed_s=time.perf_counter() - t0)
 
 
@@ -79,10 +75,9 @@ def test_oracle_correctness(oracle_sweep):
     # construction; their proofs carry the verdict past the truth table
     for name, formula in known_unsat_corpus():
         for gb in (False, True):
-            sink = io.StringIO()
-            r = Solver(formula, SolverConfig(glue_bump=gb), proof=ProofWriter(sink)).solve()
+            r, proof = solve_shared(formula, gb)
             assert r.verdict is Verdict.UNSAT, name
-            assert check_rup(formula, sink.getvalue()) is True, (name, gb)
+            assert check_rup(formula, proof) is True, (name, gb)
     assert oracle_sweep.elapsed_s < 300.0
 
 
@@ -263,9 +258,10 @@ def test_directional_replication():
     qualifying = 0
     wins = 0
     for name, formula in directional_corpus():
-        cfg = SolverConfig(glue_bump=False, max_conflicts=8000)
-        result = Solver(formula, cfg).solve()
-        rep = result.counters
+        if name.startswith("dir_n"):  # random 3-SAT, solved by this test alone
+            rep = Solver(formula, SolverConfig(max_conflicts=8000)).solve().counters
+        else:  # crafted: PHP(7,6), PHP(8,7) and parity20 are solved by other tests too
+            rep = solve_shared(formula, glue_bump=False, cap=8000)[0].counters
         if rep.glue_decisions >= 100 and rep.nonglue_decisions >= 100:
             qualifying += 1
             if rep.pr_glue > rep.pr_nonglue:

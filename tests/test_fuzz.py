@@ -23,16 +23,7 @@ from oracles import model_satisfies, parse_dimacs_reference, truth_table_satisfi
 
 WIDTHS = (1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4)
 CRAFTED = (None, None, pigeonhole(3), pigeonhole(2), parity_contradiction(4), parity_chain(6))
-CONFIGS = st.builds(
-    SolverConfig,
-    glue_bump=st.booleans(),
-    max_conflicts=st.none() | st.integers(1, 20),
-)
-# reduce_schedule's (learnt limit, growth)
-SCHEDULES = st.tuples(
-    st.sampled_from([0, 1]) | st.integers(2, 8) | st.just(2000),
-    st.integers(0, 300),
-)
+SEEDS = st.integers(0, 2**32)
 
 
 @st.composite
@@ -74,8 +65,12 @@ class ArgmaxInstrumentedSolver(InstrumentedSolver):
         return lit
 
 
-@given(small_formulas(), CONFIGS, SCHEDULES)
-def test_solver_fuzz_over_configs(formula, config, schedule):
+@given(small_formulas(), SEEDS)
+def test_solver_fuzz_over_configs(formula, seed):
+    rng = random.Random(seed)
+    glue_bump, cap = rng.random() < 0.5, rng.choice((None, rng.randint(1, 20)))
+    config = SolverConfig(glue_bump=glue_bump, max_conflicts=cap)
+    schedule = (rng.choice((rng.choice((0, 1)), rng.randint(2, 8), 2000)), rng.randint(0, 300))
     sink = io.StringIO()
     with reduce_schedule(*schedule):
         result = ArgmaxInstrumentedSolver(formula, config, proof=ProofWriter(sink)).solve()
@@ -93,19 +88,21 @@ def test_solver_fuzz_over_configs(formula, config, schedule):
 
 # ---- parsers over mutated bytes -------------------------------------------------
 
-# DIMACS/DRAT syntax bytes mostly, any byte sometimes
-BYTES = st.sampled_from(list(b"0123456789 -\n\t\rpcnfd%")) | st.integers(0, 255)
-EDITS = st.lists(
-    st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 1 << 16), BYTES),
-    min_size=1,
-    max_size=8,
-)
+# DIMACS/DRAT syntax bytes about half the time, any byte otherwise
+BYTES = list(b"0123456789 -\n\t\rpcnfd%") * 11 + list(range(256))
+PROOF_LITS = [l for l in range(-9, 10) if l]
 
 
-def mutate(data: bytes, edits) -> bytes:
+def mutate(data: bytes, rng: random.Random, alphabet: list[int]) -> bytes:
+    """`data` after 1 to 8 random edits: each replaces, inserts or deletes
+    one byte at any position. A quarter of the written bytes are 0, the
+    terminator of both formats, so that edits often move a clause end; the
+    rest come from `alphabet`."""
     buf = bytearray(data)
-    for op, at, byte in edits:
-        i = at % (len(buf) + 1)
+    for _ in range(rng.randint(1, 8)):
+        op = rng.choice(("replace", "insert", "delete"))
+        byte = ord("0") if rng.random() < 0.25 else rng.choice(alphabet)
+        i = rng.randint(0, len(buf))
         if op == "insert":
             buf.insert(i, byte)
         elif i < len(buf):
@@ -116,9 +113,9 @@ def mutate(data: bytes, edits) -> bytes:
     return bytes(buf)
 
 
-@given(small_formulas(), EDITS)
-def test_parse_dimacs_fuzz_raises_only_dimacs_error(formula, edits):
-    data = mutate(to_dimacs(formula).encode(), edits)
+@given(small_formulas(), SEEDS)
+def test_parse_dimacs_fuzz_raises_only_dimacs_error(formula, seed):
+    data = mutate(to_dimacs(formula).encode(), random.Random(seed), BYTES)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # header clause-count mismatches
@@ -132,15 +129,7 @@ def test_parse_dimacs_fuzz_raises_only_dimacs_error(formula, edits):
 # DIMACS syntax plus every latin-1 character that str.split or
 # str.splitlines treats as whitespace or a line break; bytes.split splits
 # on none of \x85 \xa0 \x1c-\x1f.
-DIMACS_EDITS = st.lists(
-    st.tuples(
-        st.sampled_from(["replace", "insert", "delete"]),
-        st.integers(0, 1 << 16),
-        st.sampled_from(list(b"0123456789-+_%pcnf \n\r\t\x85\xa0\x0b\x0c\x1c\x1d\x1e\x1f")),
-    ),
-    min_size=1,
-    max_size=8,
-)
+DIMACS_BYTES = list(b"0123456789-+_%pcnf \n\r\t\x85\xa0\x0b\x0c\x1c\x1d\x1e\x1f")
 
 
 def parse_outcome(parse, data: bytes):
@@ -164,33 +153,24 @@ def reflow(text: str, per_line: int) -> str:
     return "\n".join([header, *rows, ""])
 
 
-@given(
-    small_formulas(),
-    st.integers(0, 5),
-    st.sampled_from([1, 2, 3, CHUNK_LINES]),
-    DIMACS_EDITS,
-)
-def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, per_line, chunk_lines, edits):
+@given(small_formulas(), SEEDS)
+def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, seed):
     """Small chunks make clauses span chunks and put bad tokens at chunk edges."""
-    text = to_dimacs(formula)
-    data = mutate((reflow(text, per_line) if per_line else text).encode(), edits)
-    with mock.patch.object(gluesat.formula, "CHUNK_LINES", chunk_lines):
+    rng = random.Random(seed)
+    text, per_line = to_dimacs(formula), rng.randint(0, 5)
+    data = mutate((reflow(text, per_line) if per_line else text).encode(), rng, DIMACS_BYTES)
+    with mock.patch.object(gluesat.formula, "CHUNK_LINES", rng.choice([1, 2, 3, CHUNK_LINES])):
         assert parse_outcome(parse_dimacs, data) == parse_outcome(parse_dimacs_reference, data)
 
 
-PROOF_LINES = st.lists(
-    st.tuples(st.booleans(), st.lists(st.integers(-9, 9).filter(bool), max_size=4)),
-    max_size=10,
-)
-
-
-@given(PROOF_LINES, EDITS)
-def test_parse_drat_fuzz_raises_only_value_error(lines, edits):
+@given(SEEDS)
+def test_parse_drat_fuzz_raises_only_value_error(seed):
+    rng = random.Random(seed)
     sink = io.StringIO()
     w = ProofWriter(sink)
-    for deletion, lits in lines:
-        (w.delete if deletion else w.add)(lits)
-    text = mutate(sink.getvalue().encode(), edits).decode("latin-1")
+    for _ in range(rng.randint(0, 10)):
+        (w.delete if rng.random() < 0.5 else w.add)(rng.choices(PROOF_LITS, k=rng.randint(0, 4)))
+    text = mutate(sink.getvalue().encode(), rng, BYTES).decode("latin-1")
     try:
         events = parse_drat(text)
     except ValueError:

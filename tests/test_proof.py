@@ -16,8 +16,8 @@ from gluesat.proof import (
     check_rup,
     parse_drat,
 )
-from gluesat.solver import Solver, SolverConfig, Verdict
-from helpers import reduce_schedule
+from gluesat.solver import Solver, Verdict
+from helpers import reduce_schedule, solve_shared, solve_with_proof
 from oracles import (
     first_rejected_lemma,
     model_satisfies,
@@ -25,13 +25,6 @@ from oracles import (
     rup_reference,
     truth_table_satisfiable,
 )
-
-
-def solve_with_proof(formula, **cfg):
-    sink = io.StringIO()
-    s = Solver(formula, SolverConfig(**cfg), proof=ProofWriter(sink))
-    result = s.solve()
-    return result, sink.getvalue()
 
 
 # ---- emission -----------------------------------------------------------------
@@ -280,10 +273,18 @@ def test_php_8_7_baseline_proof_checks():
     # PHP(8,7) is the largest proof in the suite: 4,643 conflicts under
     # `baseline`, a few seconds to solve and check.
     f = pigeonhole(7)
-    result, proof = solve_with_proof(f, glue_bump=False)
+    result, proof = solve_shared(f, glue_bump=False)  # also test_directional_replication's
     assert result.verdict is Verdict.UNSAT
     assert result.counters.conflicts == 4643
     assert check_rup(f, proof) is True
+
+
+def test_shared_solve_equals_a_fresh_one():
+    for gb in (False, True):  # keyed by the clauses: a new equal formula hits the cache
+        cached, proof = solve_shared(pigeonhole(5), gb)
+        fresh, text = solve_with_proof(pigeonhole(5), glue_bump=gb)
+        assert (cached.verdict, cached.counters, proof) == (fresh.verdict, fresh.counters, text)
+        assert type(proof) is str and solve_shared(pigeonhole(5), gb) == (cached, proof)
 
 
 def sweep_instance(rng):
@@ -394,49 +395,48 @@ EDITS = (
 )
 
 
-@given(st.data())
-def test_check_rup_matches_reference_on_adversarial_proofs(data):
+@given(st.integers(0, 2**32))
+def test_check_rup_matches_reference_on_adversarial_proofs(seed):
     """check_rup agrees exactly with a naive full-scan RUP replay on
     solver proofs of small random formulas, each with adversarial events
     spliced in; whatever it accepts is also a semantically valid proof."""
-    n = data.draw(st.integers(1, 10), label="num_vars")
-    lit = st.sampled_from([l for v in range(1, n + 1) for l in (v, -v)])
-    clause = st.lists(lit, min_size=min(n, 2), max_size=5, unique_by=abs)
-    m = data.draw(st.integers(0, 6 * n), label="num_clauses")
-    formula = Formula.from_ints(n, data.draw(st.lists(clause, min_size=m, max_size=m)))
-    glue_bump = data.draw(st.booleans(), label="glue_bump")
-    with reduce_schedule(data.draw(st.sampled_from((1, 2000)), label="learnt_limit"), 0):
-        _, proof = solve_with_proof(formula, glue_bump=glue_bump)
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    pool = [l for v in range(1, n + 1) for l in (v, -v)]
+    widths = [rng.randint(min(n, 2), min(n, 5)) for _ in range(rng.randint(0, 6 * n))]
+    clauses = [[rng.choice((v, -v)) for v in rng.sample(range(1, n + 1), k)] for k in widths]
+    formula = Formula.from_ints(n, clauses)
+    with reduce_schedule(rng.choice((1, 2000)), 0):
+        _, proof = solve_with_proof(formula, glue_bump=rng.random() < 0.5)
     events = parse_drat(proof)
     known = [c.to_ints() for c in formula.clauses] + [e.lits for e in events if e.lits]
-    for edit in data.draw(st.lists(st.sampled_from(EDITS), max_size=6), label="edits"):
+    units = [c for c in known if len(c) == 1]
+    for edit in rng.choices(EDITS, k=rng.randint(0, 6)):
         if edit == "drop_event":
             if events:
-                del events[data.draw(st.integers(0, len(events) - 1))]
+                del events[rng.randrange(len(events))]
             continue
         if edit == "repeat_lit":
             lemmas = [e.lits for e in events if e.kind == ADD and e.lits]
             if lemmas:
-                lits = data.draw(st.sampled_from(lemmas))
-                repeated = data.draw(st.sampled_from(lits))
-                lits.insert(data.draw(st.integers(0, len(lits))), repeated)
+                lits = rng.choice(lemmas)
+                lits.insert(rng.randint(0, len(lits)), rng.choice(lits))
             continue
         if edit in ("add_random", "delete_random"):
-            lits = data.draw(st.lists(lit, max_size=4))
-        elif edit == "delete_unit":
-            lits = [data.draw(lit)]
+            lits = rng.choices(pool, k=rng.randint(0, 4))
+        elif edit == "delete_unit":  # a known unit half the time
+            lits = list(rng.choice(units)) if units and rng.random() < 0.5 else [rng.choice(pool)]
         elif not known:
             continue
         else:
-            lits = list(data.draw(st.sampled_from(known)))
+            lits = list(rng.choice(known))
             if edit == "add_tautology":
-                v = data.draw(st.integers(1, n))
+                v = rng.randint(1, n)
                 lits += [v, -v]
             elif edit == "delete_known":
-                lits = data.draw(st.permutations(lits))
+                rng.shuffle(lits)
         kind = ADD if edit.startswith("add") else DELETE
-        at = data.draw(st.integers(0, len(events)))
-        events.insert(at, ProofEvent(kind, lits))
+        events.insert(rng.randint(0, len(events)), ProofEvent(kind, lits))
     accepted = check_rup(formula, events)
     assert accepted is rup_reference(formula, events)
     if accepted:

@@ -71,6 +71,7 @@ def test_deleted_names_are_gone():
     for name in ("formula", "restarts", "conflicts_since_restart", "should_restart"):
         assert not hasattr(s, name), name
     assert "lbd_count" not in metrics.ClassCounters.__slots__
+    assert not hasattr(metrics.MetricsCollector(), "_current")  # the top of _level_class
     for name in ("record_propagation", "current_bucket", "sample_gf"):
         assert not hasattr(metrics.MetricsCollector, name), name
     assert "series" not in bench.CorpusResult._fields
