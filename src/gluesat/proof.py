@@ -10,15 +10,19 @@ literals, propagate, reach a conflict) from the formula plus earlier
 additions that have not been deleted. It validates plain RUP only; this
 solver never emits clauses needing the full RAT check.
 
-The checker keeps the formula's clauses and the proof's lemmas in two
-watch arrays and propagates formula clauses first: a lemma watch list is
-visited only when no formula watch list is pending (core-first
+The checker keeps clauses in three stores (see _ClauseDb). Formula
+clauses of two or three distinct literals sit in one occurrence array
+and are never moved; longer formula clauses and the proof's lemmas sit
+in two watch arrays. It propagates formula clauses first: a lemma watch
+list is visited only when no formula literal is pending (core-first
 propagation, as in Heule, Hunt and Wetzler, "Trimming while checking
 clausal proofs", FMCAD 2013). On the solver's pigeonhole proofs about
 nine checks in ten find their conflict in a formula clause, so the long
-lemma lists are read less often. The verdict cannot depend on this
-order: unit propagation to a fixpoint implies the same literals in any
-order, so it reaches a conflict in every order or in none (see
+lemma lists are read less often. On random 3-SAT proofs most clause
+visits are to short formula clauses, which the occurrence array reads
+without moving a watch. The verdict cannot depend on the order
+or the store: unit propagation to a fixpoint implies the same literals
+in any order, so it reaches a conflict in every order or in none (see
 _ClauseDb).
 """
 
@@ -32,6 +36,7 @@ ADD = "add"
 DELETE = "delete"
 
 _Watches = list[list[list[int]]]  # code -> clauses watching it
+_Pairs = list[list[tuple[int, int]]]  # code -> other two codes of each short clause
 
 
 class ProofEvent(NamedTuple):
@@ -82,21 +87,34 @@ def parse_drat(text: str) -> list[ProofEvent]:
 
 
 class _ClauseDb:
-    """Watched-literal clause store for repeated RUP propagations.
+    """Clause store for repeated RUP propagations.
 
     It takes literals as codes only: check_rup codes each signed literal
     l once, as 2*|l| + (l < 0), so its negation is code ^ 1. `value` is a
     flat list indexed by code: an assignment sets value[c] = 1 and
-    value[c ^ 1] = -1. A clause is a list of distinct codes whose first
-    two are watched, and deletions find it by its sorted codes.
+    value[c ^ 1] = -1. Codes 0 and 1 name no literal. Code 1 is held
+    false (and so code 0 true) for the database's whole life, and pads
+    the pair of a binary clause.
 
-    There are two watch arrays, `formula_watches` for the formula's
-    clauses and `lemma_watches` for proof lemmas; entry c of each holds
-    that array's clauses watching c, visited when c turns false. One
-    trail is walked by two heads, one per array, and a lemma watch list
-    is visited only when the formula head has reached the end of the
-    trail, so every implication a lemma adds goes through the formula
-    clauses before the next lemma list is read.
+    A clause is kept in one of three stores, as a list of distinct codes:
+    - `pairs`, for formula clauses of two or three codes: entry c holds,
+      for each such clause containing c, the pair of its other two codes
+      (a binary's other code and 1). Nothing in it moves;
+    - `formula_watches`, for longer formula clauses, and `lemma_watches`,
+      for proof lemmas of two or more codes: watch arrays, whose entry c
+      holds the clauses watching c, with the first two codes watched;
+    - `units`, for one-code clauses of either kind.
+    Deletions find a clause by its sorted codes in `registry`, which
+    names the store that holds it.
+
+    One trail is walked by two heads. When the formula head reaches a
+    literal, its negation c has turned false: the walk checks every pair
+    in pairs[c], implying the free code of a pair whose other code is
+    false and stopping at a pair with both false, then visits
+    formula_watches[c]. The lemma head visits lemma_watches[c] only when
+    the formula head has reached the end of the trail, so every
+    implication a lemma adds goes through the formula clauses before the
+    next lemma list is read.
 
     The order cannot change a verdict. Suppose one order stops at a
     fixpoint where no clause is false. Each literal that another order
@@ -106,7 +124,11 @@ class _ClauseDb:
     order's assignment stays inside the fixpoint's and cannot falsify a
     clause either: a conflict is found in every order or in none. The
     walk stops only at a conflict or when both heads reach the end of
-    the trail, which is a fixpoint of every clause in both arrays.
+    the trail, which is a fixpoint of every clause in every store: a
+    watched clause keeps a watch on a true or free code, and a short
+    clause is checked each time the formula head reaches one of its
+    false codes, the last time with every false code already set, so it
+    is left neither false nor unit.
 
     Watch positions persist across checks. That stays sound because every
     check starts from the empty assignment, under which any two literals
@@ -114,44 +136,57 @@ class _ClauseDb:
     """
 
     def __init__(self, num_vars: int):
-        self.value: list[int] = [0] * (2 * num_vars + 2)  # 0/1/-1 per code
+        self.value: list[int] = [1, -1] + [0] * (2 * num_vars)  # 0/1/-1 per code
+        self.pairs: _Pairs = [[] for _ in self.value]
         self.formula_watches: _Watches = [[] for _ in self.value]
         self.lemma_watches: _Watches = [[] for _ in self.value]
         self.units: list[int] = []  # codes of singleton clauses
         self.has_empty = False
-        # sorted codes -> live (watch array, clause) pairs, for deletions
-        self.registry: dict[tuple[int, ...], list[tuple[_Watches, list[int]]]] = {}
+        # sorted codes -> live (store, clause) pairs, for deletions
+        self.registry: dict[tuple[int, ...], list[tuple[list, list[int]]]] = {}
 
     def add(self, codes: Sequence[int], lemma: bool) -> None:
         """Add a formula clause, or a proof lemma if `lemma` is true."""
         # a repeated literal would take both watches and hide the clause's unit
         clause = list(dict.fromkeys(codes))
-        watches = self.lemma_watches if lemma else self.formula_watches
-        self.registry.setdefault(tuple(sorted(codes)), []).append((watches, clause))
+        store: list
+        if lemma:
+            store = self.lemma_watches
+        elif len(clause) <= 3:
+            store = self.pairs
+        else:
+            store = self.formula_watches
+        self.registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
         if not clause:
             self.has_empty = True
         elif len(clause) == 1:
             self.units.append(clause[0])
+        elif store is self.pairs:
+            for code, pair in _pair_entries(clause):
+                store[code].append(pair)
         else:
-            watches[clause[0]].append(clause)
-            watches[clause[1]].append(clause)
+            store[clause[0]].append(clause)
+            store[clause[1]].append(clause)
 
     def delete(self, codes: Sequence[int]) -> None:
         """Drop the last added clause with these literals, from whichever
-        array watches it; unknown clauses are a no-op (deleting a clause
+        store holds it; unknown clauses are a no-op (deleting a clause
         never makes a proof unsound)."""
         bucket = self.registry.get(tuple(sorted(codes)))
         if not bucket:
             return
-        watches, clause = bucket.pop()
+        store, clause = bucket.pop()
         if not clause:
             return  # the empty clause is never meaningfully deleted
         if len(clause) == 1:
             self.units.remove(clause[0])
-            return
-        for w in clause[:2]:  # by identity: equal clauses may watch differently
-            watch_list = watches[w]
-            del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
+        elif store is self.pairs:
+            for code, pair in _pair_entries(clause):
+                store[code].remove(pair)  # by value: equal pairs are interchangeable
+        else:
+            for w in clause[:2]:  # by identity: equal clauses may watch differently
+                watch_list = store[w]
+                del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
 
     def propagates_to_conflict(self, assumptions: Sequence[int]) -> bool:
         """Assume the given codes, unit propagate, report conflict.
@@ -161,6 +196,7 @@ class _ClauseDb:
         if self.has_empty:
             return True
         value = self.value
+        pairs = self.pairs
         formula_watches = self.formula_watches
         lemma_watches = self.lemma_watches
         trail: list[int] = []
@@ -180,12 +216,31 @@ class _ClauseDb:
                 watches = formula_watches
                 falsified = trail[formula_head] ^ 1
                 formula_head += 1
+                for x, y in pairs[falsified]:
+                    # values are -1/0/1: a sum of -2 is both false, -1 is
+                    # one false and one free, and 0 or more has a true
+                    # code or both free
+                    both = value[x] + value[y]
+                    if both >= 0:
+                        continue
+                    if both < -1:
+                        conflict = True
+                        break
+                    if value[x]:
+                        x = y
+                    value[x] = 1
+                    value[x ^ 1] = -1
+                    trail.append(x)
+                if conflict:
+                    break
             elif lemma_head < len(trail):
                 watches = lemma_watches
                 falsified = trail[lemma_head] ^ 1
                 lemma_head += 1
             else:
                 break
+            if not watches[falsified]:
+                continue  # most formula lists are empty: pairs hold the short clauses
             kept: list[list[int]] = []
             remaining = iter(watches[falsified])
             for clause in remaining:
@@ -218,6 +273,16 @@ class _ClauseDb:
         for lit in trail:
             value[lit] = value[lit ^ 1] = 0
         return conflict
+
+
+def _pair_entries(clause: list[int]) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """(code, pair of the other two codes) for each code of a clause of two
+    or three codes, as _ClauseDb.pairs holds them; a binary pads with 1."""
+    if len(clause) == 2:
+        a, b = clause
+        return (a, (b, 1)), (b, (a, 1))
+    a, b, c = clause
+    return (a, (b, c)), (b, (a, c)), (c, (a, b))
 
 
 def _codes(lits: Iterable[int]) -> list[int]:

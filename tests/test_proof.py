@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from gluesat.formula import Formula, parse_dimacs
+from gluesat.formula import Clause, Formula, lit_from_int, parse_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
 from gluesat.proof import (
     ADD,
@@ -52,9 +52,11 @@ def test_unsat_proof_ends_with_empty_clause():
     assert adds[-1].lits == []
 
 
-def test_every_learnt_clause_has_one_add_and_deletes_match():
-    f = pigeonhole(6)
-
+@pytest.fixture(scope="module")
+def php76_with_deletions():
+    """PHP(7,6) under `baseline` with a reduce schedule that deletes,
+    solved once for the module: the result, its proof text, and the
+    learnt and deleted clauses in the order the solver made them."""
     learned = []
     deleted = []
 
@@ -73,9 +75,14 @@ def test_every_learnt_clause_has_one_add_and_deletes_match():
 
     sink = io.StringIO()
     with reduce_schedule(40, 20):
-        result = Audit(f, proof=ProofWriter(sink)).solve()
+        result = Audit(pigeonhole(6), proof=ProofWriter(sink)).solve()
+    return result, sink.getvalue(), learned, deleted
+
+
+def test_every_learnt_clause_has_one_add_and_deletes_match(php76_with_deletions):
+    result, proof, learned, deleted = php76_with_deletions
     assert result.verdict is Verdict.UNSAT
-    events = parse_drat(sink.getvalue())
+    events = parse_drat(proof)
     adds = [tuple(e.lits) for e in events if e.kind == ADD]
     dels = [tuple(e.lits) for e in events if e.kind == DELETE]
     assert adds[:-1] == learned  # one add per learnt clause, in order
@@ -145,7 +152,7 @@ def test_proof_variables_beyond_formula_range():
 def test_sizing_the_checker_keeps_no_copy_of_the_proof_literals():
     # 40,000 lemmas x 12 literals over 5,000 variables, half of them
     # negative; the first lemma is not RUP, so the check stops there and
-    # its peak is sizing plus the empty clause database (~1.6 MB). A list
+    # its peak is sizing plus the empty clause database (~2.2 MB). A list
     # of every |literal| held while sizing would add ~13 MB.
     n, width = 5000, 12
     events = []
@@ -162,9 +169,21 @@ def test_sizing_the_checker_keeps_no_copy_of_the_proof_literals():
 
 
 def test_deleting_a_needed_clause_breaks_the_proof():
-    f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
-    assert check_rup(f, "d 1 0\n0\n") is False
-    assert check_rup(f, "d 5 0\n0\n") is True  # deleting nothing is a no-op
+    # the units make every literal of the clause false; once the clause
+    # is deleted, nothing of it (a unit, or any pair-store entry of a
+    # short clause) may be left to find the conflict
+    for clause in ("1", "1 2", "2 1", "1 2 3", "2 3 1", "3 1 2"):
+        lits = clause.split()
+        f = parse_dimacs(f"p cnf 3 {1 + len(lits)}\n{clause} 0\n" + "".join(f"-{l} 0\n" for l in lits))
+        assert check_rup(f, "0\n") is True
+        assert check_rup(f, f"d {clause} 0\n0\n") is False
+        assert check_rup(f, "d 5 0\n0\n") is True  # deleting nothing is a no-op
+        assert check_rup(f, "d 2 3 0\n0\n") is True  # other literals: no match
+
+
+def codes(lits):
+    """_ClauseDb takes checker codes: 2*|l| + (l < 0) per signed literal."""
+    return [2 * abs(l) + (l < 0) for l in lits]
 
 
 def test_repeated_literal_still_propagates():
@@ -175,11 +194,18 @@ def test_repeated_literal_still_propagates():
     assert check_rup(f, "1 1 2 0\n0\n") is True
     assert check_rup(f, "1 1 2 0\nd 1 2 0\n0\n") is True  # other literals: no match
     assert check_rup(f, "1 1 2 0\nd 2 1 1 0\n0\n") is False
-
-
-def codes(lits):
-    """_ClauseDb takes checker codes: 2*|l| + (l < 0) per signed literal."""
-    return [2 * abs(l) + (l < 0) for l in lits]
+    # a formula clause (1 1 2), from a Formula built without normalizing,
+    # goes to the pair store as the binary (1 2)
+    x1, x2, x3 = (lit_from_int(v) for v in (1, 2, 3))
+    f = Formula(3, [Clause([x1, x1, x2]), Clause([x2 ^ 1, x3]), Clause([x2 ^ 1, x3 ^ 1]),
+                    Clause([x1 ^ 1])])
+    assert check_rup(f, "0\n") is True
+    assert check_rup(f, "d 2 1 1 0\n0\n") is False
+    db = _ClauseDb(3)
+    db.add(codes([1, 1, 2]), lemma=False)
+    (one,), (two,) = codes([1]), codes([2])
+    assert db.pairs[one] == [(two, 1)] and db.pairs[two] == [(one, 1)]
+    assert sum(map(len, db.pairs)) == 2
 
 
 def test_delete_reaches_the_array_that_watches_the_clause():
@@ -190,16 +216,56 @@ def test_delete_reaches_the_array_that_watches_the_clause():
     assert check_rup(f, "2 1 0\nd 1 2 0\nd 1 2 0\n3 0\n0\n") is False
 
     db = _ClauseDb(4)
-    db.add(codes([1, 2]), lemma=False)
+    db.add(codes([1, 2]), lemma=False)  # a formula binary: the pair store
     db.add(codes([2, 1]), lemma=True)
-    assert sum(map(len, db.formula_watches)) == sum(map(len, db.lemma_watches)) == 2
+    assert sum(map(len, db.pairs)) == sum(map(len, db.lemma_watches)) == 2
+    assert not any(db.formula_watches)
     db.delete(codes([1, 2]))  # the last added copy goes: the lemma
     assert not any(db.lemma_watches)
-    assert sum(map(len, db.formula_watches)) == 2
+    assert sum(map(len, db.pairs)) == 2
     assert db.propagates_to_conflict(codes([-1, -2])) is True
     db.delete(codes([2, 1]))
-    assert not any(db.formula_watches)
+    assert not any(db.pairs)
     assert db.propagates_to_conflict(codes([-1, -2])) is False
+
+    # the other order, with a ternary: the lemma (3 2 1) and then the
+    # formula clause (1 2 3), whose copy the first deletion finds
+    db.add(codes([3, 2, 1]), lemma=True)
+    db.add(codes([1, 2, 3]), lemma=False)
+    assert sum(map(len, db.pairs)) == 3
+    db.delete(codes([2, 3, 1]))
+    assert not any(db.pairs)
+    assert sum(map(len, db.lemma_watches)) == 2
+    assert db.propagates_to_conflict(codes([-1, -2, -3])) is True
+    db.delete(codes([1, 2, 3]))
+    assert not any(db.lemma_watches)
+    assert db.propagates_to_conflict(codes([-1, -2, -3])) is False
+
+
+def test_tautological_short_clause_never_propagates():
+    x1, x2 = lit_from_int(1), lit_from_int(2)
+    f = Formula(2, [Clause([x1, x1 ^ 1]), Clause([x1, x1 ^ 1, x2]), Clause([x2 ^ 1, x1, x1 ^ 1])])
+    # each lemma assumes its negation; none is RUP, and neither is the empty clause
+    for lemma in ("", "1", "-1", "2", "-2", "1 2", "-1 -2", "1 -2", "-1 2"):
+        events = parse_drat(f"{lemma} 0\n")
+        assert check_rup(f, events) is False
+        assert rup_reference(f, events) is False
+
+
+def test_conflict_in_a_long_formula_clause_after_pair_propagation():
+    # 1 implies 2 and 3 through binaries, (2 3) implies 4 through a
+    # ternary, and only the 4-literal clause is then false
+    f = parse_dimacs(
+        "p cnf 5 6\n-1 2 0\n-1 3 0\n-2 -3 4 0\n-1 -2 -3 -4 0\n1 5 0\n1 -5 0\n")
+    assert check_rup(f, "-1 0\n0\n") is True
+    assert check_rup(f, "d -1 -2 -3 -4 0\n-1 0\n0\n") is False
+    db = _ClauseDb(5)
+    for c in f.clauses:
+        db.add(codes(c.to_ints()), lemma=False)
+    assert sum(map(len, db.formula_watches)) == 2  # the long clause only
+    assert db.propagates_to_conflict(codes([1])) is True
+    db.delete(codes([-4, -3, -2, -1]))
+    assert db.propagates_to_conflict(codes([1])) is False
 
 
 # (-1 2) is derived as a lemma and the formula clauses that gave it are
@@ -230,10 +296,11 @@ def test_non_rup_lemma_is_rejected_after_both_arrays_reach_fixpoint():
     db.add(codes([-1, 2]), lemma=True)
     db.add(codes([-6, -1, -7]), lemma=True)  # fires only after the formula step
     assert db.propagates_to_conflict(codes([1])) is False
-    assert not any(db.value)  # every assignment undone
+    assert not any(db.value[2:])  # every assignment undone
+    assert db.value[:2] == [1, -1]  # codes 0 and 1 name no literal; 1 pads binaries
     db.add(codes([7, -6]), lemma=False)  # 6 -> 7 now meets the lemma's -7
     assert db.propagates_to_conflict(codes([1])) is True
-    assert not any(db.value)
+    assert not any(db.value[2:]) and db.value[:2] == [1, -1]
 
 
 def test_solver_proofs_verify_on_mixed_corpus():
@@ -260,13 +327,11 @@ def test_solver_proofs_verify_on_mixed_corpus():
             assert check_rup(f, proof) is True
 
 
-def test_proofs_with_deletions_verify():
-    f = pigeonhole(6)
-    with reduce_schedule(40, 20):
-        result, proof = solve_with_proof(f)
+def test_proofs_with_deletions_verify(php76_with_deletions):
+    result, proof, _, _ = php76_with_deletions
     assert result.verdict is Verdict.UNSAT
     assert any(e.kind == DELETE for e in parse_drat(proof))
-    assert check_rup(f, proof) is True
+    assert check_rup(pigeonhole(6), proof) is True
 
 
 def test_php_8_7_baseline_proof_checks():
