@@ -296,11 +296,21 @@ def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool
 
     Checking stops at the first verified empty clause: the events after
     it are not checked. A text proof is still parsed whole first, so a
-    malformed line anywhere raises ValueError."""
-    events = parse_drat(proof) if isinstance(proof, str) else list(proof)
-    max_var = max(formula.num_vars, max((abs(l) for ev in events for l in ev.lits), default=0))
+    malformed line anywhere raises ValueError.
 
-    db = _ClauseDb(max_var)
+    DRAT lets a proof name variables the formula lacks. They are renamed
+    num_vars + 1, num_vars + 2, ..., which keeps every verdict and sizes
+    the checker by how many there are, not by their largest index."""
+    events = parse_drat(proof) if isinstance(proof, str) else list(proof)
+    n = formula.num_vars
+    fresh = {abs(l) for ev in events for l in ev.lits if l > n or -l > n}
+    if fresh:
+        rename = {}
+        for new, v in enumerate(fresh, n + 1):
+            rename[v], rename[-v] = new, -new
+        events = [ProofEvent(ev.kind, [rename.get(l, l) for l in ev.lits]) for ev in events]
+
+    db = _ClauseDb(n + len(fresh))
     for clause in formula.clauses:
         db.add(_codes(clause.to_ints()), lemma=False)
 

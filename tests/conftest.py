@@ -1,12 +1,4 @@
 import pytest
-from hypothesis import settings
-
-# Same examples on every run, no example database, no per-example
-# deadline: a CI failure reproduces locally and never flakes on timing.
-settings.register_profile(
-    "ci", derandomize=True, database=None, deadline=None, max_examples=300
-)
-settings.load_profile("ci")
 
 
 @pytest.hookimpl(hookwrapper=True)

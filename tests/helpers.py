@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import random
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -19,6 +21,7 @@ from gluesat.proof import ProofWriter
 from gluesat.solver import Solver, SolverConfig, SolveResult
 
 SAFETY_CONFLICT_BUDGET = 500_000  # guards against a runaway solve; no test run reaches it
+PROPERTY_SEEDS = range(300)
 _shared_solves: dict[tuple[str, bool], tuple[SolveResult, str]] = {}
 
 
@@ -40,6 +43,27 @@ def solve_shared(formula: Formula, glue_bump: bool, cap: int = SAFETY_CONFLICT_B
     result, proof = _shared_solves[key]
     assert result.counters.conflicts < cap, "the cap bound: a capped run would differ"
     return result, proof
+
+
+def over_property_seeds(body):
+    """One test running body(random.Random(seed)) for each of PROPERTY_SEEDS."""
+    def test():
+        for seed in PROPERTY_SEEDS:
+            try:
+                body(random.Random(seed))
+            except Exception as e:
+                raise AssertionError(f"property seed {seed}") from e
+
+    return test
+
+
+def traced_peak(call):
+    """call()'s result and the peak bytes tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextmanager

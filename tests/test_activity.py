@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import random
-
-from hypothesis import given, strategies as st
-
 from gluesat.activity import MAX_ENTRIES_PER_VAR, ActivityTable, VarOrderHeap
+from helpers import over_property_seeds
 
 # Few distinct values, so most comparisons are ties broken by index.
 ACTIVITIES = [0.0, 0.0, 1.0, 1.0, 2.5]
@@ -24,11 +21,10 @@ def check_layout(heap: VarOrderHeap, members: set[int]) -> None:
     assert len(entries) <= MAX_ENTRIES_PER_VAR * len(act)
 
 
-@given(st.integers(0, 2**32))
-def test_heap_matches_sorted_reference(seed):
+@over_property_seeds
+def test_heap_matches_sorted_reference(rng):
     """An update applies its activity change and update() `repeats` times, so
     members get enough updates to pass the stale-entry bound between rescales."""
-    rng = random.Random(seed)
     n = rng.randint(1, 12)
     table = ActivityTable(n)
     table.activity[:] = rng.choices(ACTIVITIES, k=n)

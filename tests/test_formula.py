@@ -1,7 +1,6 @@
 import gc
 import io
 import random
-import tracemalloc
 
 import pytest
 
@@ -17,6 +16,7 @@ from gluesat.formula import (
 )
 from gluesat.gen import parity_chain, pigeonhole, random_ksat
 from gluesat.solver import Solver
+from helpers import traced_peak
 from oracles import parse_dimacs_reference
 
 
@@ -142,12 +142,7 @@ def test_formula_from_ints_normalizes_like_parse_dimacs():
 
 def test_huge_variable_index_costs_no_table_memory():
     text = "p cnf 4000000000 2\n-3999999999 1 0\n3999999999 -1 1 0\n"
-    tracemalloc.start()
-    try:
-        f = parse_dimacs(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: parse_dimacs(text))
     assert peak < 1_000_000
     assert f == parse_dimacs_reference(text)
     assert f.clauses[0].lits == [2 * 3999999998 + 1, 0]

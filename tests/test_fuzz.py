@@ -1,6 +1,7 @@
-"""Hypothesis fuzzing: the solver over random SolverConfigs, reduce
-schedules and small formulas, both text parsers over byte-mutated valid
-inputs, and `parse_dimacs` against the token-at-a-time reference parser."""
+"""Property tests over seeded random inputs: the solver over random
+SolverConfigs, reduce schedules and small formulas, both text parsers
+over byte-mutated valid inputs, and `parse_dimacs` against the
+token-at-a-time reference parser."""
 
 from __future__ import annotations
 
@@ -9,35 +10,27 @@ import random
 import warnings
 from unittest import mock
 
-from hypothesis import given, strategies as st
-
 import gluesat.formula
 from gluesat.formula import CHUNK_LINES, DimacsError, Formula, parse_dimacs, to_dimacs
 from gluesat.gen import parity_chain, parity_contradiction, pigeonhole
 from gluesat.proof import ADD, DELETE, ProofWriter, check_rup, parse_drat
 from gluesat.solver import SolverConfig, Verdict
-from helpers import InstrumentedSolver, reduce_schedule, unassigned_argmax
+from helpers import InstrumentedSolver, over_property_seeds, reduce_schedule, unassigned_argmax
 from oracles import model_satisfies, parse_dimacs_reference, truth_table_satisfiable
 
 # ---- solver over SolverConfig ---------------------------------------------------
 
 WIDTHS = (1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4)
 CRAFTED = (None, None, pigeonhole(3), pigeonhole(2), parity_contradiction(4), parity_chain(6))
-SEEDS = st.integers(0, 2**32)
 
 
-@st.composite
-def small_formulas(draw) -> Formula:
+def small_formula(rng: random.Random) -> Formula:
     """A formula over at most 12 variables: a relabelled crafted instance
     (pigeonhole, parity) plus a few random clauses, or random clauses
     only, mostly 3-literal, 0 to 6 per variable, so across the 3-SAT
     threshold. The crafted ones make runs reach learning and reduce_db.
-    Sizes and clauses come from a drawn seed, which generates far faster
-    than drawing every literal and spreads the sizes evenly: Hypothesis
-    favours the low bound of a drawn count, so drawn sizes would make
-    many formulas clause-free or give them the empty clause."""
-    base = draw(st.sampled_from(CRAFTED))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+    One formula in twenty also holds the empty clause."""
+    base = rng.choice(CRAFTED)
     if base is None:
         n = rng.randint(1, 12)
         clauses = []
@@ -67,9 +60,9 @@ class ArgmaxInstrumentedSolver(InstrumentedSolver):
         return lit
 
 
-@given(small_formulas(), SEEDS)
-def test_solver_fuzz_over_configs(formula, seed):
-    rng = random.Random(seed)
+@over_property_seeds
+def test_solver_fuzz_over_configs(rng):
+    formula = small_formula(rng)
     glue_bump, cap = rng.random() < 0.5, rng.choice((None, rng.randint(1, 20)))
     config = SolverConfig(glue_bump=glue_bump, max_conflicts=cap)
     schedule = (rng.choice((rng.choice((0, 1)), rng.randint(2, 8), 2000)), rng.randint(0, 300))
@@ -115,9 +108,9 @@ def mutate(data: bytes, rng: random.Random, alphabet: list[int]) -> bytes:
     return bytes(buf)
 
 
-@given(small_formulas(), SEEDS)
-def test_parse_dimacs_fuzz_raises_only_dimacs_error(formula, seed):
-    data = mutate(to_dimacs(formula).encode(), random.Random(seed), BYTES)
+@over_property_seeds
+def test_parse_dimacs_fuzz_raises_only_dimacs_error(rng):
+    data = mutate(to_dimacs(small_formula(rng)).encode(), rng, BYTES)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # header clause-count mismatches
@@ -155,19 +148,17 @@ def reflow(text: str, per_line: int) -> str:
     return "\n".join([header, *rows, ""])
 
 
-@given(small_formulas(), SEEDS)
-def test_parse_dimacs_matches_reference_on_mutated_bytes(formula, seed):
+@over_property_seeds
+def test_parse_dimacs_matches_reference_on_mutated_bytes(rng):
     """Small chunks make clauses span chunks and put bad tokens at chunk edges."""
-    rng = random.Random(seed)
-    text, per_line = to_dimacs(formula), rng.randint(0, 5)
+    text, per_line = to_dimacs(small_formula(rng)), rng.randint(0, 5)
     data = mutate((reflow(text, per_line) if per_line else text).encode(), rng, DIMACS_BYTES)
     with mock.patch.object(gluesat.formula, "CHUNK_LINES", rng.choice([1, 2, 3, CHUNK_LINES])):
         assert parse_outcome(parse_dimacs, data) == parse_outcome(parse_dimacs_reference, data)
 
 
-@given(SEEDS)
-def test_parse_drat_fuzz_raises_only_value_error(seed):
-    rng = random.Random(seed)
+@over_property_seeds
+def test_parse_drat_fuzz_raises_only_value_error(rng):
     sink = io.StringIO()
     w = ProofWriter(sink)
     for _ in range(rng.randint(0, 10)):

@@ -1,9 +1,7 @@
 import io
 import random
-import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
 
 from gluesat.formula import Clause, Formula, lit_from_int, parse_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
@@ -17,7 +15,7 @@ from gluesat.proof import (
     parse_drat,
 )
 from gluesat.solver import Solver, Verdict
-from helpers import reduce_schedule, solve_shared, solve_with_proof
+from helpers import over_property_seeds, reduce_schedule, solve_shared, solve_with_proof, traced_peak
 from oracles import (
     first_rejected_lemma,
     model_satisfies,
@@ -153,19 +151,22 @@ def test_sizing_the_checker_keeps_no_copy_of_the_proof_literals():
     # 40,000 lemmas x 12 literals over 5,000 variables, half of them
     # negative; the first lemma is not RUP, so the check stops there and
     # its peak is sizing plus the empty clause database (~2.2 MB). A list
-    # of every |literal| held while sizing would add ~13 MB.
+    # of every |literal| held while sizing would add ~13 MB. A variable
+    # beyond the formula's adds one variable: sized by its index, variable
+    # 300,000 would take ~115 MB.
     n, width = 5000, 12
     events = []
     for i in range(40_000):
         variables = [(i * width + j) % n + 1 for j in range(width)]  # distinct in a lemma
         events.append(ProofEvent(ADD, [v if j % 2 else -v for j, v in enumerate(variables)]))
-    tracemalloc.start()
-    try:
-        assert check_rup(Formula(n), events) is False
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20, f"check_rup peak {peak / 2**20:.1f} MB"
+    f = parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n")
+    fresh_refutation = "-300000 2 0\n300000 -2 0\n300000 0\n0\n"
+    for formula, proof, verdict in (
+        (Formula(n), events, False), (f, "300000 0\n", False), (f, fresh_refutation, True)
+    ):
+        accepted, peak = traced_peak(lambda: check_rup(formula, proof))
+        assert accepted is verdict
+        assert peak < 4 * 2**20, f"check_rup peak {peak / 2**20:.1f} MB"
 
 
 def test_deleting_a_needed_clause_breaks_the_proof():
@@ -460,12 +461,11 @@ EDITS = (
 )
 
 
-@given(st.integers(0, 2**32))
-def test_check_rup_matches_reference_on_adversarial_proofs(seed):
+@over_property_seeds
+def test_check_rup_matches_reference_on_adversarial_proofs(rng):
     """check_rup agrees exactly with a naive full-scan RUP replay on
     solver proofs of small random formulas, each with adversarial events
     spliced in; whatever it accepts is also a semantically valid proof."""
-    rng = random.Random(seed)
     n = rng.randint(1, 10)
     pool = [l for v in range(1, n + 1) for l in (v, -v)]
     widths = [rng.randint(min(n, 2), min(n, 5)) for _ in range(rng.randint(0, 6 * n))]
