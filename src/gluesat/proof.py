@@ -24,19 +24,28 @@ without moving a watch. The verdict cannot depend on the order
 or the store: unit propagation to a fixpoint implies the same literals
 in any order, so it reaches a conflict in every order or in none (see
 _ClauseDb).
+
+The checker builds only what a check reads. Formula clauses of three
+distinct literals go into the occurrence array straight from the
+formula's literal codes. The index that deletions look clauses up in is
+built at the first deletion line, in the order the clauses were added,
+so a deletion still drops the last added copy. A proof with no
+deletions never builds it, and a solve that never reduces its learnt
+clauses writes none.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable, NamedTuple, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .formula import Formula
+from .formula import Clause, Formula
 
 ADD = "add"
 DELETE = "delete"
 
 _Watches = list[list[list[int]]]  # code -> clauses watching it
 _Pairs = list[list[tuple[int, int]]]  # code -> other two codes of each short clause
+_Index = dict[tuple[int, ...], list[tuple[list, list[int]]]]  # sorted codes -> (store, clause)s
 
 
 class ProofEvent(NamedTuple):
@@ -105,7 +114,13 @@ class _ClauseDb:
       holds the clauses watching c, with the first two codes watched;
     - `units`, for one-code clauses of either kind.
     Deletions find a clause by its sorted codes in `registry`, which
-    names the store that holds it.
+    names the store that holds it. The index is built by the first
+    deletion, from every clause added so far, and kept up by each `add`
+    after it; until then `add` only appends to a log, so a proof with no
+    deletions never builds it. It is built in add order (load_formula's
+    triples, then the log), so a deletion still drops the last added
+    clause with its codes: a lemma that repeats a formula clause is
+    deleted before the formula's copy, from the store that holds it.
 
     One trail is walked by two heads. When the formula head reaches a
     literal, its negation c has turned false: the walk checks every pair
@@ -142,8 +157,34 @@ class _ClauseDb:
         self.lemma_watches: _Watches = [[] for _ in self.value]
         self.units: list[int] = []  # codes of singleton clauses
         self.has_empty = False
-        # sorted codes -> live (store, clause) pairs, for deletions
-        self.registry: dict[tuple[int, ...], list[tuple[list, list[int]]]] = {}
+        # sorted codes -> live (store, clause) pairs, for deletions; None
+        # until the first deletion, while `triples` and `log` hold the adds
+        self.registry: Optional[_Index] = None
+        self.triples: list[list[int]] = []  # lits of load_formula's 3-literal clauses
+        self.log: list[tuple[Sequence[int], list, list[int]]] = []  # (codes, store, clause)
+
+    def load_formula(self, clauses: Iterable[Clause]) -> None:
+        """Add the formula's clauses; called once, on an empty database.
+
+        A clause of three distinct internal codes l goes straight into
+        `pairs` as codes l + 2, which equal 2*|d| + (d < 0) for its
+        DIMACS literals d; every other clause goes through `add`."""
+        pairs = self.pairs
+        triples = self.triples
+        for clause in clauses:
+            lits = clause.lits
+            if len(lits) == 3:
+                a, b, c = lits
+                if a != b != c != a:  # three distinct codes
+                    a += 2
+                    b += 2
+                    c += 2
+                    pairs[a].append((b, c))
+                    pairs[b].append((a, c))
+                    pairs[c].append((a, b))
+                    triples.append(lits)
+                    continue
+            self.add([l + 2 for l in lits], lemma=False)
 
     def add(self, codes: Sequence[int], lemma: bool) -> None:
         """Add a formula clause, or a proof lemma if `lemma` is true."""
@@ -156,7 +197,10 @@ class _ClauseDb:
             store = self.pairs
         else:
             store = self.formula_watches
-        self.registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
+        if self.registry is None:
+            self.log.append((codes, store, clause))
+        else:
+            self.registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
         if not clause:
             self.has_empty = True
         elif len(clause) == 1:
@@ -172,6 +216,8 @@ class _ClauseDb:
         """Drop the last added clause with these literals, from whichever
         store holds it; unknown clauses are a no-op (deleting a clause
         never makes a proof unsound)."""
+        if self.registry is None:
+            self.registry = self._index()
         bucket = self.registry.get(tuple(sorted(codes)))
         if not bucket:
             return
@@ -187,6 +233,20 @@ class _ClauseDb:
             for w in clause[:2]:  # by identity: equal clauses may watch differently
                 watch_list = store[w]
                 del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
+
+    def _index(self) -> _Index:
+        """The deletion index of every clause added so far, in add order:
+        load_formula's triples, in the orientation their pairs hold, then
+        the log, which is emptied."""
+        registry: _Index = {}
+        for lits in self.triples:
+            clause = [l + 2 for l in lits]
+            registry.setdefault(tuple(sorted(clause)), []).append((self.pairs, clause))
+        for codes, store, clause in self.log:
+            registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
+        self.triples = []
+        self.log = []
+        return registry
 
     def propagates_to_conflict(self, assumptions: Sequence[int]) -> bool:
         """Assume the given codes, unit propagate, report conflict.
@@ -311,8 +371,7 @@ def check_rup(formula: Formula, proof: Union[str, Iterable[ProofEvent]]) -> bool
         events = [ProofEvent(ev.kind, [rename.get(l, l) for l in ev.lits]) for ev in events]
 
     db = _ClauseDb(n + len(fresh))
-    for clause in formula.clauses:
-        db.add(_codes(clause.to_ints()), lemma=False)
+    db.load_formula(formula.clauses)
 
     for ev in events:
         codes = _codes(ev.lits)  # one line at a time: no coded copy of the proof

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import gluesat.proof
 from gluesat.formula import Clause, Formula, lit_from_int, parse_dimacs
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat
 from gluesat.proof import (
@@ -11,6 +12,7 @@ from gluesat.proof import (
     ProofEvent,
     ProofWriter,
     _ClauseDb,
+    _codes,
     check_rup,
     parse_drat,
 )
@@ -241,6 +243,106 @@ def test_delete_reaches_the_array_that_watches_the_clause():
     db.delete(codes([1, 2, 3]))
     assert not any(db.lemma_watches)
     assert db.propagates_to_conflict(codes([-1, -2, -3])) is False
+
+
+def test_first_deletion_after_lemmas_removes_a_needed_clause():
+    # the units make every literal of the needed clause false, and the
+    # lemmas over the variables 5 and 6 are RUP only through it; the
+    # index is built at the deletion, after the lemmas, and must still
+    # find the clause: a 3-literal one that load_formula puts straight
+    # into the pair store, a binary, a long clause and a unit
+    for clause in ("3 1 2", "2 1", "1 2 3 4", "1"):
+        lits = clause.split()
+        f = parse_dimacs(f"p cnf 6 {1 + len(lits)}\n{clause} 0\n" + "".join(f"-{l} 0\n" for l in lits))
+        lemmas = "5 6 0\n-5 6 0\n"
+        assert check_rup(f, lemmas + "0\n") is True
+        assert check_rup(f, lemmas + f"d {clause} 0\n0\n") is False
+        assert check_rup(f, lemmas + f"d {' '.join(reversed(lits))} 0\n0\n") is False
+        assert check_rup(f, lemmas + "d 5 6 0\n0\n") is True
+
+
+def test_first_deletion_takes_the_lemma_before_the_formula_copy():
+    # the formula clause (1 2 3) goes straight into the pair store, and
+    # the lemma (3 1 2) repeats it; the index, built at the first
+    # deletion, must put the formula's copy before the lemma's
+    db = _ClauseDb(3)
+    db.load_formula(parse_dimacs("p cnf 3 1\n1 2 3 0\n").clauses)
+    db.add(codes([3, 1, 2]), lemma=True)
+    assert db.registry is None
+    assert sum(map(len, db.pairs)) == 3 and sum(map(len, db.lemma_watches)) == 2
+    db.delete(codes([2, 3, 1]))  # the last added copy goes: the lemma
+    assert not any(db.lemma_watches)
+    assert sum(map(len, db.pairs)) == 3
+    assert db.propagates_to_conflict(codes([-1, -2, -3])) is True
+    db.delete(codes([1, 2, 3]))
+    assert not any(db.pairs)
+    assert db.propagates_to_conflict(codes([-1, -2, -3])) is False
+    # once the index is built, each add goes into it at once
+    db.add(codes([1, 2, 3]), lemma=True)
+    db.delete(codes([3, 2, 1]))
+    assert not any(db.lemma_watches)
+    # the same through check_rup: the first deletion leaves the formula's copy
+    f = parse_dimacs("p cnf 3 4\n1 2 3 0\n-1 0\n-2 0\n-3 0\n")
+    assert check_rup(f, "3 1 2 0\nd 1 2 3 0\n0\n") is True
+    assert check_rup(f, "3 1 2 0\nd 1 2 3 0\nd 1 2 3 0\n0\n") is False
+
+
+def test_a_check_builds_the_deletion_index_only_at_a_deletion(monkeypatch):
+    made = []
+
+    class Recorded(_ClauseDb):
+        def __init__(self, num_vars):
+            super().__init__(num_vars)
+            made.append(self)
+
+    monkeypatch.setattr(gluesat.proof, "_ClauseDb", Recorded)
+    f = pigeonhole(3)  # four 3-literal pigeon clauses and 18 binaries
+    result, proof = solve_with_proof(f)
+    events = parse_drat(proof)
+    assert result.verdict is Verdict.UNSAT and not any(e.kind == DELETE for e in events)
+    assert check_rup(f, events) is True
+    (db,) = made
+    assert db.registry is None
+    assert len(db.triples) == 4
+    assert len(db.log) == len(f.clauses) - 4 + len(events) - 1  # not the empty clause
+    assert check_rup(f, [ProofEvent(DELETE, [1, 2]), *events]) is True  # deletes nothing
+    assert made[1].registry is not None and not made[1].log and not made[1].triples
+
+
+def test_load_formula_holds_what_add_holds():
+    # clauses built without normalizing: repeated literals, tautologies,
+    # units, the empty clause and 2-5 literal clauses of either sign
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        clauses = [
+            Clause([rng.randrange(2 * n) for _ in range(rng.choice((0, 1, 2, 3, 3, 3, 4, 5)))])
+            for _ in range(rng.randint(0, 12))
+        ]
+        loaded, added = _ClauseDb(n), _ClauseDb(n)
+        loaded.load_formula(clauses)
+        for c in clauses:
+            added.add(_codes(c.to_ints()), lemma=False)
+        for db in (loaded, added):
+            db.delete([0])  # builds the index; code 0 names no literal
+        assert loaded.pairs == added.pairs
+        assert loaded.formula_watches == added.formula_watches
+        assert (loaded.units, loaded.has_empty) == (added.units, added.has_empty)
+
+        def index(db):
+            return {k: [(s is db.pairs, c) for s, c in v] for k, v in db.registry.items()}
+
+        assert index(loaded) == index(added)
+
+
+def test_formula_codes_are_internal_codes_plus_two():
+    # load_formula codes a formula clause as l + 2 from its internal
+    # codes l; a proof line is coded from its DIMACS literals by _codes
+    f = parse_dimacs("p cnf 9 5\n1 -2 3 0\n-9 0\n4 -5 6 -7 8 9 0\n-1 2 0\n-3 -4 -6 0\n")
+    lits = [l for c in f.clauses for l in c.to_ints()]
+    assert min(lits) == -9 and max(lits) == 9
+    for c in f.clauses:
+        assert _codes(c.to_ints()) == [l + 2 for l in c.lits]
 
 
 def test_tautological_short_clause_never_propagates():
