@@ -54,8 +54,8 @@ class Clause:
     """A clause over internal literal codes.
 
     `lbd` is 0 for an original clause and at least 1 for a learnt one,
-    so it also says whether the clause was learnt; whether a learnt
-    clause is glue when its lbd is exactly glue.GLUE_LBD.
+    so it also says whether the clause was learnt. A learnt clause is
+    glue when its lbd equals glue.GLUE_LBD.
     """
 
     __slots__ = ("lits", "lbd", "activity")

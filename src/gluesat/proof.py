@@ -10,33 +10,34 @@ literals, propagate, reach a conflict) from the formula plus earlier
 additions that have not been deleted. It validates plain RUP only; this
 solver never emits clauses needing the full RAT check.
 
-The checker keeps clauses in three stores (see _ClauseDb). Formula
+The checker keeps clauses in four stores (see _ClauseDb). Formula
 clauses of two or three distinct literals sit in one occurrence array
 and are never moved; longer formula clauses and the proof's lemmas sit
-in two watch arrays. It propagates formula clauses first: a lemma watch
-list is visited only when no formula literal is pending (core-first
-propagation, as in Heule, Hunt and Wetzler, "Trimming while checking
-clausal proofs", FMCAD 2013). On the solver's pigeonhole proofs about
-nine checks in ten find their conflict in a formula clause, so the long
-lemma lists are read less often. On random 3-SAT proofs most clause
-visits are to short formula clauses, which the occurrence array reads
-without moving a watch. The verdict cannot depend on the order
-or the store: unit propagation to a fixpoint implies the same literals
-in any order, so it reaches a conflict in every order or in none (see
-_ClauseDb).
+in two watch arrays; unit clauses sit in a list. It propagates formula
+clauses first: a lemma watch list is visited only when no formula
+literal is pending (core-first propagation, as in Heule, Hunt and
+Wetzler, "Trimming while checking clausal proofs", FMCAD 2013). On the
+solver's pigeonhole proofs about nine checks in ten find their conflict
+in a formula clause, so the long lemma lists are read less often. On
+random 3-SAT proofs most clause visits are to short formula clauses,
+which the occurrence array reads without moving a watch. The verdict
+cannot depend on the order or the store: unit propagation to a
+fixpoint implies the same literals in any order, so it reaches a
+conflict in every order or in none (see _ClauseDb).
 
 The checker builds only what a check reads. Formula clauses of three
 distinct literals go into the occurrence array straight from the
-formula's literal codes. The index that deletions look clauses up in is
-built at the first deletion line, in the order the clauses were added,
-so a deletion still drops the last added copy. A proof with no
-deletions never builds it, and a solve that never reduces its learnt
-clauses writes none.
+formula's literal codes. Every add, formula clause or lemma, is
+appended to one log; each deletion line first moves the entries logged
+since the previous one into the index that deletions look clauses up
+in, in the order they were added, so a deletion still drops the last
+added copy. A proof with no deletions builds no index entry, and a
+solve that never reduces its learnt clauses writes none.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 from .formula import Clause, Formula
 
@@ -45,7 +46,10 @@ DELETE = "delete"
 
 _Watches = list[list[list[int]]]  # code -> clauses watching it
 _Pairs = list[list[tuple[int, int]]]  # code -> other two codes of each short clause
-_Index = dict[tuple[int, ...], list[tuple[list, list[int]]]]  # sorted codes -> (store, clause)s
+_Index = dict[tuple[int, ...], list[tuple[list, list[int]]]]  # sorted raw codes -> (store, clause)s
+# one add, as add logs it, (raw codes, store, clause), or as load_formula
+# logs a 3-literal formula clause: its own list of internal codes
+_Logged = Union[tuple[Sequence[int], list, list[int]], list[int]]
 
 
 class ProofEvent(NamedTuple):
@@ -105,22 +109,24 @@ class _ClauseDb:
     false (and so code 0 true) for the database's whole life, and pads
     the pair of a binary clause.
 
-    A clause is kept in one of three stores, as a list of distinct codes:
+    A clause is kept in one of four stores, as a list of distinct codes:
     - `pairs`, for formula clauses of two or three codes: entry c holds,
       for each such clause containing c, the pair of its other two codes
       (a binary's other code and 1). Nothing in it moves;
     - `formula_watches`, for longer formula clauses, and `lemma_watches`,
       for proof lemmas of two or more codes: watch arrays, whose entry c
       holds the clauses watching c, with the first two codes watched;
-    - `units`, for one-code clauses of either kind.
-    Deletions find a clause by its sorted codes in `registry`, which
-    names the store that holds it. The index is built by the first
-    deletion, from every clause added so far, and kept up by each `add`
-    after it; until then `add` only appends to a log, so a proof with no
-    deletions never builds it. It is built in add order (load_formula's
-    triples, then the log), so a deletion still drops the last added
-    clause with its codes: a lemma that repeats a formula clause is
-    deleted before the formula's copy, from the store that holds it.
+    - `units`, for one-code clauses of either kind, and for the empty
+      clause as code 1, which is always false.
+    Deletions find a clause by its sorted raw codes in `registry`, which
+    names the store that holds it. Every add is appended to `log`, and
+    load_formula logs each 3-literal clause it puts straight into
+    `pairs` as the clause's own list of internal codes. Each deletion
+    first folds the log into `registry` in add order and empties it, so
+    a proof with no deletions builds no index entry, and a deletion still
+    drops the last added clause with its codes: a lemma that repeats a
+    formula clause is deleted before the formula's copy, from the store
+    that holds it. The empty clause is never deleted.
 
     One trail is walked by two heads. When the formula head reaches a
     literal, its negation c has turned false: the walk checks every pair
@@ -155,22 +161,19 @@ class _ClauseDb:
         self.pairs: _Pairs = [[] for _ in self.value]
         self.formula_watches: _Watches = [[] for _ in self.value]
         self.lemma_watches: _Watches = [[] for _ in self.value]
-        self.units: list[int] = []  # codes of singleton clauses
-        self.has_empty = False
-        # sorted codes -> live (store, clause) pairs, for deletions; None
-        # until the first deletion, while `triples` and `log` hold the adds
-        self.registry: Optional[_Index] = None
-        self.triples: list[list[int]] = []  # lits of load_formula's 3-literal clauses
-        self.log: list[tuple[Sequence[int], list, list[int]]] = []  # (codes, store, clause)
+        self.units: list[int] = []  # codes of singleton clauses; 1 for an empty one
+        self.registry: _Index = {}  # the adds up to the last deletion
+        self.log: list[_Logged] = []  # the adds since then, in order
 
     def load_formula(self, clauses: Iterable[Clause]) -> None:
         """Add the formula's clauses; called once, on an empty database.
 
         A clause of three distinct internal codes l goes straight into
         `pairs` as codes l + 2, which equal 2*|d| + (d < 0) for its
-        DIMACS literals d; every other clause goes through `add`."""
+        DIMACS literals d, and is logged as its own list of internal
+        codes; every other clause goes through `add`."""
         pairs = self.pairs
-        triples = self.triples
+        log = self.log
         for clause in clauses:
             lits = clause.lits
             if len(lits) == 3:
@@ -182,7 +185,7 @@ class _ClauseDb:
                     pairs[a].append((b, c))
                     pairs[b].append((a, c))
                     pairs[c].append((a, b))
-                    triples.append(lits)
+                    log.append(lits)
                     continue
             self.add([l + 2 for l in lits], lemma=False)
 
@@ -197,14 +200,9 @@ class _ClauseDb:
             store = self.pairs
         else:
             store = self.formula_watches
-        if self.registry is None:
-            self.log.append((codes, store, clause))
-        else:
-            self.registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
-        if not clause:
-            self.has_empty = True
-        elif len(clause) == 1:
-            self.units.append(clause[0])
+        self.log.append((codes, store, clause))
+        if len(clause) < 2:
+            self.units.append(clause[0] if clause else 1)  # code 1 is always false
         elif store is self.pairs:
             for code, pair in _pair_entries(clause):
                 store[code].append(pair)
@@ -216,9 +214,16 @@ class _ClauseDb:
         """Drop the last added clause with these literals, from whichever
         store holds it; unknown clauses are a no-op (deleting a clause
         never makes a proof unsound)."""
-        if self.registry is None:
-            self.registry = self._index()
-        bucket = self.registry.get(tuple(sorted(codes)))
+        registry = self.registry
+        for entry in self.log:  # fold the adds since the last deletion, in order
+            if isinstance(entry, tuple):
+                raw, store, clause = entry
+            else:  # a load_formula triple, oriented as its pairs hold it
+                raw = clause = [l + 2 for l in entry]
+                store = self.pairs
+            registry.setdefault(tuple(sorted(raw)), []).append((store, clause))
+        self.log = []
+        bucket = registry.get(tuple(sorted(codes)))
         if not bucket:
             return
         store, clause = bucket.pop()
@@ -234,27 +239,11 @@ class _ClauseDb:
                 watch_list = store[w]
                 del watch_list[next(i for i, c in enumerate(watch_list) if c is clause)]
 
-    def _index(self) -> _Index:
-        """The deletion index of every clause added so far, in add order:
-        load_formula's triples, in the orientation their pairs hold, then
-        the log, which is emptied."""
-        registry: _Index = {}
-        for lits in self.triples:
-            clause = [l + 2 for l in lits]
-            registry.setdefault(tuple(sorted(clause)), []).append((self.pairs, clause))
-        for codes, store, clause in self.log:
-            registry.setdefault(tuple(sorted(codes)), []).append((store, clause))
-        self.triples = []
-        self.log = []
-        return registry
-
     def propagates_to_conflict(self, assumptions: Sequence[int]) -> bool:
         """Assume the given codes, unit propagate, report conflict.
 
         All assignments are undone before returning.
         """
-        if self.has_empty:
-            return True
         value = self.value
         pairs = self.pairs
         formula_watches = self.formula_watches

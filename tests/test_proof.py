@@ -139,7 +139,10 @@ def test_proof_without_empty_clause_fails():
 def test_empty_formula_clause_makes_anything_rup():
     f = parse_dimacs("p cnf 1 1\n0\n")
     assert check_rup(f, "0\n") is True
+    assert check_rup(f, "1 0\n0\n") is True
+    assert check_rup(f, "-7 0\n0\n") is True  # a variable the formula lacks
     assert check_rup(f, "d 0\n0\n") is True  # the empty clause is never deleted
+    assert check_rup(f, "d 0\n1 0\n0\n") is True
 
 
 def test_proof_variables_beyond_formula_range():
@@ -169,6 +172,16 @@ def test_sizing_the_checker_keeps_no_copy_of_the_proof_literals():
         accepted, peak = traced_peak(lambda: check_rup(formula, proof))
         assert accepted is verdict
         assert peak < 4 * 2**20, f"check_rup peak {peak / 2**20:.1f} MB"
+
+
+def test_loading_a_formula_allocates_nothing_per_3_literal_clause():
+    # 21,250 3-literal clauses over 5,000 variables: the pair store and
+    # the log of the formula's own literal lists peak at ~8.0 MB; logging
+    # a new tuple or list of codes per clause instead peaks at ~11.2 MB
+    f = random_ksat(5000, 21250, seed=1)
+    accepted, peak = traced_peak(lambda: check_rup(f, "0\n"))
+    assert accepted is False
+    assert peak < 9 * 2**20, f"check_rup peak {peak / 2**20:.2f} MB"
 
 
 def test_deleting_a_needed_clause_breaks_the_proof():
@@ -263,12 +276,11 @@ def test_first_deletion_after_lemmas_removes_a_needed_clause():
 
 def test_first_deletion_takes_the_lemma_before_the_formula_copy():
     # the formula clause (1 2 3) goes straight into the pair store, and
-    # the lemma (3 1 2) repeats it; the index, built at the first
-    # deletion, must put the formula's copy before the lemma's
+    # the lemma (3 1 2) repeats it; the first deletion folds both into
+    # the index and must put the formula's copy before the lemma's
     db = _ClauseDb(3)
     db.load_formula(parse_dimacs("p cnf 3 1\n1 2 3 0\n").clauses)
     db.add(codes([3, 1, 2]), lemma=True)
-    assert db.registry is None
     assert sum(map(len, db.pairs)) == 3 and sum(map(len, db.lemma_watches)) == 2
     db.delete(codes([2, 3, 1]))  # the last added copy goes: the lemma
     assert not any(db.lemma_watches)
@@ -277,7 +289,7 @@ def test_first_deletion_takes_the_lemma_before_the_formula_copy():
     db.delete(codes([1, 2, 3]))
     assert not any(db.pairs)
     assert db.propagates_to_conflict(codes([-1, -2, -3])) is False
-    # once the index is built, each add goes into it at once
+    # an add after a deletion is folded in by the next one
     db.add(codes([1, 2, 3]), lemma=True)
     db.delete(codes([3, 2, 1]))
     assert not any(db.lemma_watches)
@@ -285,6 +297,15 @@ def test_first_deletion_takes_the_lemma_before_the_formula_copy():
     f = parse_dimacs("p cnf 3 4\n1 2 3 0\n-1 0\n-2 0\n-3 0\n")
     assert check_rup(f, "3 1 2 0\nd 1 2 3 0\n0\n") is True
     assert check_rup(f, "3 1 2 0\nd 1 2 3 0\nd 1 2 3 0\n0\n") is False
+
+
+def test_every_deletion_folds_the_adds_since_the_previous_one():
+    # the lemma (2 3 1) is added between two deletions; the second
+    # deletion must find it, and so leave the formula's copy
+    f = parse_dimacs("p cnf 3 4\n1 2 3 0\n-1 0\n-2 0\n-3 0\n")
+    prefix = "3 1 2 0\nd 1 2 3 0\n2 3 1 0\nd 1 2 3 0\n"
+    assert check_rup(f, prefix + "0\n") is True
+    assert check_rup(f, prefix + "d 3 2 1 0\n0\n") is False
 
 
 def test_a_check_builds_the_deletion_index_only_at_a_deletion(monkeypatch):
@@ -302,11 +323,12 @@ def test_a_check_builds_the_deletion_index_only_at_a_deletion(monkeypatch):
     assert result.verdict is Verdict.UNSAT and not any(e.kind == DELETE for e in events)
     assert check_rup(f, events) is True
     (db,) = made
-    assert db.registry is None
-    assert len(db.triples) == 4
-    assert len(db.log) == len(f.clauses) - 4 + len(events) - 1  # not the empty clause
-    assert check_rup(f, [ProofEvent(DELETE, [1, 2]), *events]) is True  # deletes nothing
-    assert made[1].registry is not None and not made[1].log and not made[1].triples
+    assert db.registry == {}
+    assert len(db.log) == len(f.clauses) + len(events) - 1  # not the empty lemma
+    # deletes nothing; the log then holds only the adds after the deletion
+    assert check_rup(f, [*events[:2], ProofEvent(DELETE, [1, 2]), *events[2:]]) is True
+    assert sum(map(len, made[1].registry.values())) == len(f.clauses) + 2
+    assert len(made[1].log) == len(events) - 3
 
 
 def test_load_formula_holds_what_add_holds():
@@ -324,10 +346,10 @@ def test_load_formula_holds_what_add_holds():
         for c in clauses:
             added.add(_codes(c.to_ints()), lemma=False)
         for db in (loaded, added):
-            db.delete([0])  # builds the index; code 0 names no literal
+            db.delete([0])  # folds the log into the index; code 0 names no literal
         assert loaded.pairs == added.pairs
         assert loaded.formula_watches == added.formula_watches
-        assert (loaded.units, loaded.has_empty) == (added.units, added.has_empty)
+        assert loaded.units == added.units
 
         def index(db):
             return {k: [(s is db.pairs, c) for s, c in v] for k, v in db.registry.items()}
