@@ -9,8 +9,8 @@ preamble bucket so the two classes always partition the rest.
 
 The end-of-solve report carries, per class, the propagation rate
 (propagations/decisions), the learning rate (conflicts/decisions) and
-the average LBD of clauses learnt under that class, plus the glue /
-nonglue variable pool fractions and the per-pool selection ratios.
+the average LBD of clauses learnt under that class, plus the fraction
+of formula variables that are glue at the end of the run.
 Every conflict above level 0 learns one clause and the level-0 one is
 the preamble's, so a class's average LBD is its LBD sum over its conflicts.
 Ratios with a zero denominator are reported as None and serialize to
@@ -36,9 +36,6 @@ STATS_COLUMNS = [
     "lr_nonglue",
     "albd_nonglue",
     "gf",
-    "ngf",
-    "r_glue",
-    "r_nonglue",
 ]
 STATS_CSV_HEADER = ["instance", "verdict", "wall_time_s"] + STATS_COLUMNS
 
@@ -75,9 +72,6 @@ class MetricsReport(NamedTuple):
     lr_nonglue: Optional[float] = None
     albd_nonglue: Optional[float] = None
     gf: Optional[float] = None
-    ngf: Optional[float] = None
-    r_glue: Optional[float] = None
-    r_nonglue: Optional[float] = None
     glue_var_count: int = 0
     num_vars: int = 0
     # (conflict count, glue fraction) samples, one per restart;
@@ -146,8 +140,6 @@ def finalize_report(
     glue, nonglue and preamble buckets.
     """
     g, ng = collector.glue, collector.nonglue
-    gf = _ratio(glue_var_count, num_vars)
-    ngf = None if gf is None else 1.0 - gf
     return MetricsReport(
         decisions=collector.total("decisions"),
         propagations=collector.total("propagations"),
@@ -161,10 +153,7 @@ def finalize_report(
         pr_nonglue=_ratio(ng.propagations, ng.decisions),
         lr_nonglue=_ratio(ng.conflicts, ng.decisions),
         albd_nonglue=_ratio(ng.lbd_sum, ng.conflicts),
-        gf=gf,
-        ngf=ngf,
-        r_glue=None if not gf else g.decisions / gf,
-        r_nonglue=None if not ngf else ng.decisions / ngf,
+        gf=_ratio(glue_var_count, num_vars),
         glue_var_count=glue_var_count,
         num_vars=num_vars,
         gf_series=list(collector.gf_series),

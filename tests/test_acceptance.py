@@ -198,12 +198,12 @@ def test_invariant_suites(oracle_sweep):
         )
         assert abs(total - 1.0) <= 1e-12
 
-    # partition and pool fractions across the whole oracle sweep
+    # partition and glue fraction across the whole oracle sweep
     for e in oracle_sweep.entries:
         for label in ("baseline", "gb"):
             rep = e.runs[label][0].counters
             assert rep.glue_decisions + rep.nonglue_decisions == rep.decisions
-            assert abs(rep.gf + rep.ngf - 1.0) <= 1e-12
+            assert rep.gf == rep.glue_var_count / rep.num_vars
 
     # glue permanence: force heavy reduction, no LBD <= 2 deletion ever
     deleted = []

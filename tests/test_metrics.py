@@ -4,8 +4,10 @@ from itertools import accumulate
 
 import pytest
 
+from gluesat.bench import RECORDS_CSV_HEADER
 from gluesat.gen import parity_contradiction, pigeonhole, random_ksat, unit_chain
 from gluesat.metrics import (
+    STATS_COLUMNS,
     STATS_CSV_HEADER,
     MetricsCollector,
     finalize_report,
@@ -158,56 +160,17 @@ def test_report_absent_ratios_serialize_empty():
     r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=4)
     row = r.csv_row("inst", "UNKNOWN", 0.5)
     header_index = {name: i for i, name in enumerate(STATS_CSV_HEADER)}
-    for col in ("pr_glue", "lr_glue", "albd_glue", "r_glue"):
+    for col in ("pr_glue", "lr_glue", "albd_glue"):
         assert row[header_index[col]] == ""
     assert row[header_index["gf"]] == "0.0"
-    assert row[header_index["ngf"]] == "1.0"
 
 
-def test_gf_ngf_sum_to_one():
-    for gvc, n in [(3, 7), (0, 5), (11, 11), (1, 997)]:
+def test_gf_is_glue_var_count_over_num_vars():
+    for gvc, n in [(3, 7), (0, 5), (11, 11), (1, 997), (22, 100)]:
         r = finalize_report(MetricsCollector(), 0, gvc, n)
-        assert abs(r.gf + r.ngf - 1.0) <= 1e-12
-    r = finalize_report(MetricsCollector(), 0, 0, 0)
-    assert r.gf is None and r.ngf is None
-
-
-def test_pool_bias_arithmetic_glue_pool():
-    # the published bias computation: a GF/NGF split of 0.22/0.78 means
-    # the nonglue pool is (0.78-0.22)/0.22 * 100 = 254.54% bigger
-    r = finalize_report(MetricsCollector(), glue_clauses=0, glue_var_count=22, num_vars=100)
-    assert r.gf == pytest.approx(0.22)
-    assert r.ngf == pytest.approx(0.78)
-    bias = (r.ngf - r.gf) / r.gf * 100
-    assert bias == pytest.approx(254.54, abs=0.01)
-
-
-def test_selection_bias_arithmetic_decision_counts():
-    # nonglue decisions only 19.17% more frequent despite the bigger pool
-    gd = 26857888.34
-    ngd = 32007216.51
-    assert (ngd - gd) / gd * 100 == pytest.approx(19.17, abs=0.01)
-
-
-def test_r_ratios_use_pool_fractions():
-    m = MetricsCollector()
-    for _ in range(6):
-        m.record_decision(0, is_glue=True)
-    for _ in range(4):
-        m.record_decision(1, is_glue=False)
-    r = finalize_report(m, glue_clauses=0, glue_var_count=5, num_vars=20)
-    assert r.r_glue == pytest.approx(6 / 0.25)
-    assert r.r_nonglue == pytest.approx(4 / 0.75)
-
-
-def test_r_glue_absent_when_gf_zero():
-    m = MetricsCollector()
-    m.record_decision(0, is_glue=False)
-    r = finalize_report(m, glue_clauses=0, glue_var_count=0, num_vars=3)
-    assert r.r_glue is None
-    assert r.r_nonglue == pytest.approx(1.0)
-    full = finalize_report(m, glue_clauses=0, glue_var_count=3, num_vars=3)
-    assert full.r_nonglue is None  # NGF == 0
+        assert r.gf == gvc / n
+        assert (r.glue_var_count, r.num_vars) == (gvc, n)
+    assert finalize_report(MetricsCollector(), 0, 0, 0).gf is None
 
 
 def test_gf_series_sampling():
@@ -256,5 +219,22 @@ def test_unit_chain_is_all_preamble():
 
 
 def test_header_is_fixed():
-    assert STATS_CSV_HEADER[:3] == ["instance", "verdict", "wall_time_s"]
-    assert len(STATS_CSV_HEADER) == 19
+    assert STATS_COLUMNS == [
+        "decisions",
+        "propagations",
+        "conflicts",
+        "glue_clauses",
+        "glue_decisions",
+        "nonglue_decisions",
+        "pr_glue",
+        "lr_glue",
+        "albd_glue",
+        "pr_nonglue",
+        "lr_nonglue",
+        "albd_nonglue",
+        "gf",
+    ]
+    assert STATS_CSV_HEADER == ["instance", "verdict", "wall_time_s"] + STATS_COLUMNS
+    assert RECORDS_CSV_HEADER == (
+        ["instance", "config", "verdict", "wall_time_s", "timeout_s"] + STATS_COLUMNS + ["error"]
+    )

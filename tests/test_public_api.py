@@ -81,6 +81,10 @@ def test_deleted_names_are_gone():
     for name in ("_watch", "_unwatch"):
         assert not hasattr(solver.Solver, name), name
     assert not hasattr(metrics, "STATS_CSV_VERSION")
+    # the end-of-run pool ratios: ngf is 1 - gf, and r_glue / r_nonglue
+    # divide run-long decision counts by the final pool
+    for name in ("ngf", "r_glue", "r_nonglue"):
+        assert name not in metrics.MetricsReport._fields, name
 
 
 def test_solver_config_is_two_immutable_search_options():
