@@ -620,7 +620,7 @@ def test_bench_main_refuses_to_overwrite_a_listed_instance(tmp_path, capsys, no_
 # sha1 of records.csv and summary.csv from `harness_outputs`, with every
 # wall_time_s and par2_sum_s cell masked and each instance path cut to
 # its file name. A refactor of the harness must leave both unchanged.
-RECORDS_SHA1 = "dcdd7c64b29d2b97c7dbcd1be0ad34a3ed9e95d5"
+RECORDS_SHA1 = "b5a0b4746c95999472c7e7afdc1ddc56a9c2bb2a"
 SUMMARY_SHA1 = "a724c2ca9ec92e03960489037833163bab039ae7"
 
 
