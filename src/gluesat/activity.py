@@ -35,9 +35,10 @@ class VarOrderHeap:
     """
 
     def __init__(self, activity: list[float]):
+        """Start with every variable a member."""
         self.activity = activity
-        self.entries: list[tuple[float, int]] = []
-        self.in_heap = [False] * len(activity)
+        self.in_heap = [True] * len(activity)
+        self.rebuild()
 
     def _push(self, var: int) -> None:
         heapq.heappush(self.entries, (-self.activity[var], var))

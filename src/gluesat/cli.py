@@ -1,8 +1,8 @@
 """Command-line solver for a single DIMACS instance.
 
-Prints SAT-competition style output ("s SATISFIABLE" plus "v" model
-lines, "s UNSATISFIABLE", or "s UNKNOWN") and exits 10 / 20 / 0
-respectively; input or parse failures exit 1.
+Prints SAT-competition style output ("s SATISFIABLE" plus "v" model lines,
+"s UNSATISFIABLE", or "s UNKNOWN") and exits 10 / 20 / 0 respectively; a
+failure to read or parse the input or to open an output exits 1 before solving.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
 EXIT_ERROR = 1
+EXIT_FOR_VERDICT = {Verdict.SAT: EXIT_SAT, Verdict.UNSAT: EXIT_UNSAT, Verdict.UNKNOWN: EXIT_UNKNOWN}
 
 
 def positive_seconds(text: str) -> float:
@@ -66,14 +67,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def write_stats_csv(fh, instance: str, verdict: str, wall: float, report) -> None:
-    import csv  # only runs that ask for --stats-csv load the module
-
-    w = csv.writer(fh)
-    w.writerow(STATS_CSV_HEADER)
-    w.writerow(report.csv_row(instance, verdict, wall))
-
-
 def output_clash(
     inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, Optional[str]]]
 ) -> Optional[str]:
@@ -109,23 +102,19 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
     if clash is not None:
         print(f"error: {clash}", file=err)
         return EXIT_ERROR
-    try:
-        with open(args.cnf, "rb") as fh:
-            formula = parse_dimacs(fh)
-    except (OSError, DimacsError) as e:
-        print(f"error: {e}", file=err)
-        return EXIT_ERROR
-
     with ExitStack() as stack:
-        # Open every output before solving, so a bad path costs no solve.
+        # Parse, then open every output before solving: a failed parse
+        # opens no output, and a bad output path costs no solve.
         try:
+            with open(args.cnf, "rb") as fh:
+                formula = parse_dimacs(fh)
             proof_fh = stack.enter_context(open(args.proof, "w")) if args.proof else None
             stats_fh = (
                 stack.enter_context(open(args.stats_csv, "w", newline=""))
                 if args.stats_csv
                 else None
             )
-        except OSError as e:
+        except (OSError, DimacsError) as e:
             print(f"error: {e}", file=err)
             return EXIT_ERROR
         proof = ProofWriter(proof_fh) if proof_fh is not None else None
@@ -138,7 +127,10 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
         result = solver.solve(deadline)
         wall = time.perf_counter() - started
         if stats_fh is not None:
-            write_stats_csv(stats_fh, args.cnf, result.verdict.value, wall, result.counters)
+            import csv  # only runs that ask for --stats-csv load the module
+
+            row = result.counters.csv_row(args.cnf, result.verdict.value, wall)
+            csv.writer(stats_fh).writerows([STATS_CSV_HEADER, row])
 
     c = result.counters
     print(f"c variables {formula.num_vars} clauses {len(formula.clauses)}", file=out)
@@ -154,12 +146,7 @@ def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr)
     print(f"s {result.verdict.value}", file=out)
     if result.verdict is Verdict.SAT:
         print_model(result.model, out=out)
-
-    if result.verdict is Verdict.SAT:
-        return EXIT_SAT
-    if result.verdict is Verdict.UNSAT:
-        return EXIT_UNSAT
-    return EXIT_UNKNOWN
+    return EXIT_FOR_VERDICT[result.verdict]
 
 
 def main(argv: Optional[list[str]] = None) -> None:

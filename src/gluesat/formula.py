@@ -60,10 +60,10 @@ class Clause:
 
     __slots__ = ("lits", "lbd", "activity")
 
-    def __init__(self, lits: list[int], lbd: int = 0, activity: float = 0.0):
+    def __init__(self, lits: list[int], lbd: int = 0):
         self.lits = lits
         self.lbd = lbd
-        self.activity = activity
+        self.activity = 0.0
 
     def to_ints(self) -> list[int]:
         return [lit_to_int(l) for l in self.lits]

@@ -132,8 +132,6 @@ class Solver:
             self.trail_lim: list[int] = []
             self.qhead = 0
             self.activities = ActivityTable(n)
-            for v in range(n):
-                self.activities.heap.insert(v)
 
             self.watches: list[list[Clause]] = [[] for _ in range(2 * n)]
             self.clauses: list[Clause] = []

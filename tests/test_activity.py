@@ -29,7 +29,8 @@ def test_heap_matches_sorted_reference(rng):
     table = ActivityTable(n)
     table.activity[:] = rng.choices(ACTIVITIES, k=n)
     activity, heap = table.activity, table.heap
-    members: set[int] = set()
+    heap.rebuild()  # every variable starts a member, keyed by its new activity
+    members = set(range(n))
 
     def best() -> int:
         return max(members, key=lambda v: (activity[v], -v))

@@ -68,20 +68,6 @@ def test_model_lines_satisfy_formula(tmp_path):
     assert model_satisfies(f, model)
 
 
-def test_parse_error_exit_1(tmp_path):
-    path = write_cnf(tmp_path, "bad.cnf", "p cnf 1 1\n2 0\n")
-    code, out, err = run([path])
-    assert code == 1
-    assert "error:" in err
-    assert "s " not in out
-
-
-def test_missing_file_exit_1(tmp_path):
-    code, _, err = run([str(tmp_path / "nope.cnf")])
-    assert code == 1
-    assert "error:" in err
-
-
 def test_proof_output_checks(tmp_path):
     f = pigeonhole(4)
     path = write_cnf(tmp_path, "php.cnf", to_dimacs(f))
@@ -104,12 +90,33 @@ def test_stats_csv_output(tmp_path):
     assert len(rows) == 2
 
 
-def test_bad_stats_csv_path_fails_before_solving(tmp_path):
-    path = write_cnf(tmp_path, "x.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
-    code, out, err = run([path, "--stats-csv", str(tmp_path / "nodir" / "x.csv")])
+@pytest.mark.parametrize(
+    "cnf_text, flag",
+    [
+        ("p cnf 1 1\n2 0\n", None),  # a literal past the header's variable count
+        (None, None),  # no input file
+        ("p cnf 2 2\n1 2 0\n-1 2 0\n", "--proof"),
+        ("p cnf 2 2\n1 2 0\n-1 2 0\n", "--stats-csv"),
+    ],
+    ids=["unparsable-input", "missing-input", "bad-proof-dir", "bad-stats-csv-dir"],
+)
+def test_failure_exits_1_before_solving(tmp_path, cnf_text, flag):
+    # a bad input opens no output; a bad output path costs no solve
+    path = str(tmp_path / "x.cnf")
+    if cnf_text is not None:
+        write_cnf(tmp_path, "x.cnf", cnf_text)
+    if flag is None:
+        outputs = [tmp_path / "out.drat", tmp_path / "stats.csv"]
+        argv = [path, "--proof", str(outputs[0]), "--stats-csv", str(outputs[1])]
+    else:
+        outputs = []
+        argv = [path, flag, str(tmp_path / "nodir" / "out")]
+    code, out, err = run(argv)
     assert code == 1
     assert err.startswith("error: ")
-    assert out == ""
+    assert out == ""  # no s line, and no c line from a solve
+    for output in outputs:
+        assert not output.exists(), output
 
 
 @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])

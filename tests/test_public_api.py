@@ -85,6 +85,10 @@ def test_deleted_names_are_gone():
     # divide run-long decision counts by the final pool
     for name in ("ngf", "r_glue", "r_nonglue"):
         assert name not in metrics.MetricsReport._fields, name
+    # the stats row is written at its one call site; every clause starts at 0.0
+    assert not hasattr(cli, "write_stats_csv")
+    with pytest.raises(TypeError):
+        Clause([0, 2], 1, 0.5)
 
 
 def test_solver_config_is_two_immutable_search_options():

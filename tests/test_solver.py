@@ -447,8 +447,8 @@ def test_interleaved_bump_decay_matches_naive_replay():
 
 
 def _fabricate_learnt(s, ext_lits, lbd, activity=0.0):
-    c = Clause([2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in ext_lits],
-               lbd=lbd, activity=activity)
+    c = Clause([2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in ext_lits], lbd=lbd)
+    c.activity = activity
     s.learnts.append(c)
     s.watches[c.lits[0]].append(c)
     s.watches[c.lits[1]].append(c)
