@@ -25,15 +25,13 @@ plots.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import sys
 import time
-import warnings
 from bisect import bisect_right
 from collections import deque
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .formula import parse_dimacs
 from .metrics import STATS_COLUMNS, MetricsReport
@@ -168,12 +166,6 @@ def run_corpus(
         while pending or running:
             while pending and len(running) < max(1, jobs):
                 inst, name = pending.popleft()
-                if not os.path.isfile(inst):
-                    warnings.warn(f"missing instance {inst}: excluded from PAR-2")
-                    records.append(
-                        RunRecord(inst, name, "ERROR", 0.0, timeout_s, error="missing file")
-                    )
-                    continue
                 if idle:
                     proc, conn = idle.pop()
                 else:
@@ -185,8 +177,6 @@ def run_corpus(
                     child_conn.close()
                 running[conn] = (proc, inst, name, time.monotonic())
                 conn.send((inst, name, configs[name], timeout_s))
-            if not running:
-                continue
 
             # A pipe turns readable when its worker sends a result or exits.
             first_kill = min(start for *_, start in running.values()) + kill_after
@@ -321,11 +311,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _fail(message: object) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def main(argv: Optional[list[str]] = None) -> None:
     from .cli import output_clash
 
@@ -336,18 +321,14 @@ def main(argv: Optional[list[str]] = None) -> None:
     out_dir = Path(args.out_dir)
     try:
         instances = read_manifest(args.manifest)
-    except (OSError, UnicodeDecodeError) as e:
-        _fail(e)
-    clash = output_clash(
-        [("the manifest", args.manifest)] + [("a listed instance", p) for p in instances],
-        [(name, str(out_dir / name)) for name in ("records.csv", "summary.csv", "series.csv")],
-    )
-    if clash is not None:
-        _fail(clash)
-    try:
+        output_clash(
+            [("the manifest", args.manifest)] + [("a listed instance", p) for p in instances],
+            [(name, str(out_dir / name)) for name in ("records.csv", "summary.csv", "series.csv")],
+        )
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        _fail(e)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)
     configs = default_configs(max_conflicts=args.max_conflicts)
     result = run_corpus(instances, configs, timeout_s=args.timeout, jobs=args.jobs)
 

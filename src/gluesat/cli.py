@@ -2,7 +2,8 @@
 
 Prints SAT-competition style output ("s SATISFIABLE" plus "v" model lines,
 "s UNSATISFIABLE", or "s UNKNOWN") and exits 10 / 20 / 0 respectively; a
-failure to read or parse the input or to open an output exits 1 before solving.
+failure to read or parse the input or to open an output exits 1 before
+solving, and changes no file.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def output_clash(
     inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, Optional[str]]]
-) -> Optional[str]:
-    """Why an output path would overwrite an input or an earlier output,
-    compared after os.path.realpath; None when none would.
+) -> None:
+    """Raise FileExistsError if an output path would overwrite an input or
+    an earlier output, compared after os.path.realpath.
 
     Both take (name, path) pairs, the name being how the error message
     calls the file; an output path of None is not written and skipped.
@@ -81,9 +82,32 @@ def output_clash(
         if path:
             real = os.path.realpath(path)
             if real in taken:
-                return f"{name} {path} would overwrite {taken[real]}"
+                raise FileExistsError(f"{name} {path} would overwrite {taken[real]}")
             taken[real] = f"the {name} output"
-    return None
+
+
+def _open_outputs(stack: ExitStack, paths: Sequence[Optional[str]]) -> list:
+    """Open each output path for writing on stack, None where no path is
+    given, so that a failure changes no file: every path opens without
+    truncation, a failed open closes the others and removes those it
+    created, and regular files are emptied only once all are open (a pipe
+    such as /dev/stdout cannot be)."""
+    files, made = [], []
+    try:
+        for path in paths:
+            new = bool(path) and not os.path.lexists(path)
+            files.append(stack.enter_context(open(path, "a", newline="")) if path else None)
+            if new:
+                made.append(path)
+    except OSError:
+        stack.close()
+        for path in made:
+            os.remove(path)
+        raise
+    for fh in files:
+        if fh is not None and os.path.isfile(fh.name):
+            fh.truncate(0)
+    return files
 
 
 def print_model(model: list[int], out=sys.stdout) -> None:
@@ -95,25 +119,18 @@ def print_model(model: list[int], out=sys.stdout) -> None:
 def run_single(argv: Optional[list[str]] = None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_arg_parser().parse_args(argv)
     started = time.perf_counter()  # --timeout and the reported time count from here
-    clash = output_clash(
-        [("the input CNF", args.cnf)],
-        [("--proof", args.proof), ("--stats-csv", args.stats_csv)],
-    )
-    if clash is not None:
-        print(f"error: {clash}", file=err)
-        return EXIT_ERROR
     with ExitStack() as stack:
-        # Parse, then open every output before solving: a failed parse
-        # opens no output, and a bad output path costs no solve.
+        # Check the output paths, parse, then open every output before
+        # solving: a failed parse opens no output, and a bad output path
+        # costs no solve.
         try:
+            output_clash(
+                [("the input CNF", args.cnf)],
+                [("--proof", args.proof), ("--stats-csv", args.stats_csv)],
+            )
             with open(args.cnf, "rb") as fh:
                 formula = parse_dimacs(fh)
-            proof_fh = stack.enter_context(open(args.proof, "w")) if args.proof else None
-            stats_fh = (
-                stack.enter_context(open(args.stats_csv, "w", newline=""))
-                if args.stats_csv
-                else None
-            )
+            proof_fh, stats_fh = _open_outputs(stack, [args.proof, args.stats_csv])
         except (OSError, DimacsError) as e:
             print(f"error: {e}", file=err)
             return EXIT_ERROR

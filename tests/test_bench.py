@@ -191,16 +191,18 @@ def test_run_corpus_end_to_end(small_corpus, tmp_path):
 
 
 def test_run_corpus_missing_file_is_error_record(small_corpus, tmp_path):
+    # an unreadable instance goes to a worker like any other, and its
+    # ERROR record names the OS error
+    missing, directory = str(tmp_path / "void.cnf"), str(tmp_path / "dir.cnf")
+    os.mkdir(directory)
     configs = {"baseline": default_configs()["baseline"]}
-    with pytest.warns(UserWarning, match="missing instance"):
-        result = run_corpus(
-            [small_corpus[0], "/nonexistent/void.cnf"], configs, timeout_s=30.0
-        )
-    errored = [r for r in result.records if r.verdict == "ERROR"]
-    assert len(errored) == 1
-    assert errored[0].error == "missing file"
+    result = run_corpus([small_corpus[0], missing, directory], configs, timeout_s=30.0)
+    errors = {r.instance: r.error for r in result.records if r.verdict == "ERROR"}
+    assert errors.keys() == {missing, directory}
+    assert errors[missing].startswith("FileNotFoundError: ")
+    assert errors[directory].startswith("IsADirectoryError: ")
     (s,) = result.summaries
-    assert s.par2_s < 30.0  # the errored record contributed nothing
+    assert s.par2_s < 30.0  # the errored records contributed nothing
     # the error text survives into records.csv, as its last column
     path = tmp_path / "records.csv"
     write_records_csv(path, result.records)
@@ -208,7 +210,7 @@ def test_run_corpus_missing_file_is_error_record(small_corpus, tmp_path):
         rows = list(csv.DictReader(fh))
     assert list(rows[0])[-1] == "error"
     assert sorted((r["verdict"], r["error"]) for r in rows) == [
-        ("ERROR", "missing file"), ("UNSATISFIABLE", "")
+        ("ERROR", errors[missing]), ("ERROR", errors[directory]), ("UNSATISFIABLE", "")
     ]
 
 
@@ -525,24 +527,29 @@ def no_solving(monkeypatch):
     monkeypatch.setattr("gluesat.bench.run_corpus", fail)
 
 
-def test_bench_main_out_dir_under_file_fails_before_solving(
-    small_corpus, tmp_path, capsys, no_solving
+@pytest.mark.parametrize(
+    "manifest, out_dir",
+    [
+        (None, "out"),  # no manifest file
+        (b"a\xffb.cnf\n", "out"),  # a manifest that is not UTF-8
+        ("corpus", "file/out"),  # an out dir under a file
+    ],
+    ids=["missing-manifest", "manifest-not-utf8", "out-dir-under-file"],
+)
+def test_bench_main_fails_before_solving(
+    small_corpus, tmp_path, capsys, no_solving, manifest, out_dir
 ):
     man = tmp_path / "manifest.txt"
-    man.write_text("\n".join(small_corpus))
-    blocker = tmp_path / "file"
-    blocker.write_text("")
+    if manifest == "corpus":
+        man.write_text("\n".join(small_corpus))
+    elif manifest is not None:
+        man.write_bytes(manifest)
+    (tmp_path / "file").write_text("")
     with pytest.raises(SystemExit) as exc:
-        bench_main(["--manifest", str(man), "--out-dir", str(blocker / "results")])
+        bench_main(["--manifest", str(man), "--out-dir", str(tmp_path / out_dir)])
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_bench_main_missing_manifest_fails_before_solving(tmp_path, capsys, no_solving):
-    with pytest.raises(SystemExit) as exc:
-        bench_main(["--manifest", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.rglob("*.csv")) == []  # no records.csv, summary.csv or series.csv
 
 
 @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,6 +15,8 @@ from gluesat.metrics import STATS_CSV_HEADER
 from gluesat.proof import check_rup
 from gluesat.solver import Solver, SolverConfig
 from oracles import model_satisfies
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -72,14 +77,31 @@ def test_proof_output_checks(tmp_path):
     f = pigeonhole(4)
     path = write_cnf(tmp_path, "php.cnf", to_dimacs(f))
     proof_path = tmp_path / "out.drat"
+    proof_path.write_text("c stale\n" * 1000)  # an existing file is replaced, not appended to
     code, _, _ = run([path, "--proof", str(proof_path)])
     assert code == EXIT_UNSAT
     assert check_rup(f, proof_path.read_text()) is True
+    assert "stale" not in proof_path.read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_proof_streams_to_a_pipe(tmp_path):
+    # a pipe cannot be truncated, so opening the outputs must not try
+    f = pigeonhole(3)
+    path = write_cnf(tmp_path, "php.cnf", to_dimacs(f))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gluesat.cli", path, "--proof", "/dev/stdout"],
+        env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE, text=True,
+    )
+    assert proc.returncode == EXIT_UNSAT
+    proof = [line for line in proc.stdout.splitlines() if not line.startswith(("c ", "s "))]
+    assert proof and check_rup(f, "\n".join(proof)) is True
 
 
 def test_stats_csv_output(tmp_path):
     path = write_cnf(tmp_path, "x.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
     stats_path = tmp_path / "stats.csv"
+    stats_path.write_text("stale\n" * 1000)  # an existing file is replaced, not appended to
     code, _, _ = run([path, "--stats-csv", str(stats_path)])
     assert code == EXIT_SAT
     with open(stats_path, newline="") as fh:
@@ -90,33 +112,42 @@ def test_stats_csv_output(tmp_path):
     assert len(rows) == 2
 
 
+GOOD_CNF = "p cnf 2 2\n1 2 0\n-1 2 0\n"
+BOTH_OUTPUTS = {"--proof": "out.drat", "--stats-csv": "stats.csv"}
+
+
 @pytest.mark.parametrize(
-    "cnf_text, flag",
+    "cnf_text, outputs, old_proof",
     [
-        ("p cnf 1 1\n2 0\n", None),  # a literal past the header's variable count
-        (None, None),  # no input file
-        ("p cnf 2 2\n1 2 0\n-1 2 0\n", "--proof"),
-        ("p cnf 2 2\n1 2 0\n-1 2 0\n", "--stats-csv"),
+        ("p cnf 1 1\n2 0\n", BOTH_OUTPUTS, None),  # a literal past the header's variable count
+        (None, BOTH_OUTPUTS, None),  # no input file
+        (GOOD_CNF, {"--proof": "nodir/out"}, None),
+        (GOOD_CNF, {"--stats-csv": "nodir/out"}, None),
+        (GOOD_CNF, {"--proof": "out.drat", "--stats-csv": "nodir/out"}, b"old proof\n"),
+        (GOOD_CNF, {"--proof": "out.drat", "--stats-csv": "nodir/out"}, None),
     ],
-    ids=["unparsable-input", "missing-input", "bad-proof-dir", "bad-stats-csv-dir"],
+    ids=[
+        "unparsable-input", "missing-input", "bad-proof-dir", "bad-stats-csv-dir",
+        "bad-stats-csv-dir-keeps-old-proof", "bad-stats-csv-dir-makes-no-proof",
+    ],
 )
-def test_failure_exits_1_before_solving(tmp_path, cnf_text, flag):
-    # a bad input opens no output; a bad output path costs no solve
+def test_failure_exits_1_before_solving(tmp_path, cnf_text, outputs, old_proof):
+    # a bad input opens no output, a bad output path costs no solve, and
+    # a failed run creates no file and changes no existing one
     path = str(tmp_path / "x.cnf")
     if cnf_text is not None:
         write_cnf(tmp_path, "x.cnf", cnf_text)
-    if flag is None:
-        outputs = [tmp_path / "out.drat", tmp_path / "stats.csv"]
-        argv = [path, "--proof", str(outputs[0]), "--stats-csv", str(outputs[1])]
-    else:
-        outputs = []
-        argv = [path, flag, str(tmp_path / "nodir" / "out")]
+    if old_proof is not None:
+        (tmp_path / "out.drat").write_bytes(old_proof)
+    argv = [path]
+    for flag, name in outputs.items():
+        argv += [flag, str(tmp_path / name)]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     code, out, err = run(argv)
     assert code == 1
     assert err.startswith("error: ")
     assert out == ""  # no s line, and no c line from a solve
-    for output in outputs:
-        assert not output.exists(), output
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])

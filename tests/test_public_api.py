@@ -87,6 +87,7 @@ def test_deleted_names_are_gone():
         assert name not in metrics.MetricsReport._fields, name
     # the stats row is written at its one call site; every clause starts at 0.0
     assert not hasattr(cli, "write_stats_csv")
+    assert not hasattr(bench, "_fail")  # main's one try prints every failure
     with pytest.raises(TypeError):
         Clause([0, 2], 1, 0.5)
 
